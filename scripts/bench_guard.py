@@ -1,27 +1,21 @@
 #!/usr/bin/env python3
 """Benchmark performance regression guard.
 
-Runs a benchmark binary that emits pair-based JSON (the hotpath /
-parallel microbenchmarks' cmpcache-hotpath-bench-v1 or the scaling
-study's cmpcache-scale-bench-v1) and compares each pair's
-current-implementation throughput (currentOpsPerSec) against the
+Runs a benchmark binary that emits pair-based JSON (the hotpath
+microbenchmarks' cmpcache-hotpath-bench-v1 or the scaling study's
+cmpcache-scale-bench-v1) and compares each pair's metric against the
 committed baseline in bench/BENCH_*.json. Any guarded pair that drops
 more than --max-drop (default 20%) below its baseline fails the
 guard; pairs marked "guard": false in the baseline are reported but
 never gate (the scale bench guards only its 8-core cell -- larger
-machines are informational). A baseline pair may set
-"metric": "speedup" to gate on the within-run legacy-vs-current
-ratio instead of absolute throughput -- the parallel bench uses this
-because its contract is "parallelism pays relative to this run's
-serial kernel", and absolute Mops/s drifts with VM noisy-neighbor
-load that the same-run ratio cancels out.
+machines are informational).
 
-Baselines that record the machine they were measured on (a top-level
-"hostCores" field, emitted by the parallel bench) only gate when the
-current host reports the same core count: parallel speedup on a
-16-core box and on a 1-core CI runner are different experiments, so a
-mismatch downgrades every pair to informational instead of
-cross-failing.
+The metric defaults to absolute throughput (currentOpsPerSec). A
+baseline pair may set "metric": "speedup" to gate on the same-run
+legacy/current ratio instead -- every hotpath pair does, because its
+contract is "the current implementation beats the legacy one on this
+machine", and absolute Mops/s drifts with the host and its
+noisy-neighbor load, which the same-run ratio cancels out.
 
 Exit codes: 0 pass, 1 regression (or broken inputs), 77 skipped.
 Set CMPCACHE_SKIP_BENCH=1 to skip (slow or contended CI machines);
@@ -78,16 +72,6 @@ def main():
         with open(args.fresh_out, "w") as f:
             json.dump(fresh, f, indent=2)
 
-    host_match = True
-    base_cores = baseline.get("hostCores")
-    fresh_cores = fresh.get("hostCores")
-    if base_cores is not None and base_cores != fresh_cores:
-        host_match = False
-        print(f"baseline was measured on a {base_cores}-core host, "
-              f"this one reports {fresh_cores}; pairs are "
-              f"informational only (re-baseline on this machine to "
-              f"gate)")
-
     base_pairs = {p["name"]: p for p in baseline["pairs"]}
     failed = False
     for pair in fresh["pairs"]:
@@ -105,8 +89,6 @@ def main():
         status = "ok"
         if not base.get("guard", True):
             status = "informational (not guarded)"
-        elif not host_match:
-            status = "informational (host core count differs)"
         elif ratio < 1.0 - args.max_drop:
             status = "REGRESSION"
             failed = True
@@ -118,7 +100,7 @@ def main():
                   f"{ref / 1e6:.2f} Mops/s ({ratio:.2f}x) {status}")
 
     if failed:
-        print(f"hot-path throughput regressed more than "
+        print(f"bench pairs regressed more than "
               f"{args.max_drop:.0%} below {args.baseline}",
               file=sys.stderr)
         return 1

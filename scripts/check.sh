@@ -4,27 +4,26 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh unit       # unit tests only
-#   scripts/check.sh e2e        # end-to-end (sweep) tests only
+#   scripts/check.sh e2e        # end-to-end (sweep) tests only, then
+#                               # CLI smoke: unknown and removed options
+#                               # must be rejected
 #   scripts/check.sh sanitize   # ASan+UBSan build, sanitize-labelled tests
-#   scripts/check.sh tsan       # TSan build, tsan-labelled (multi-threaded)
-#                               # tests plus a parallel-kernel sweep smoke
+#   scripts/check.sh tsan       # TSan build, tsan-labelled (multi-threaded:
+#                               # sweep pool, streaming reader) tests plus
+#                               # a sweep --threads=4 vs --threads=1
+#                               # byte-identity smoke
 #   scripts/check.sh obs        # ASan+UBSan build, obs-labelled tests,
 #                               # then a sampled sweep smoke run
 #   scripts/check.sh faults     # fault/watchdog suite, then smoke runs:
 #                               # an injected-fault sweep plus a faults-off
-#                               # thread-count byte-identity check
-#   scripts/check.sh fuzz       # the >= 50-config parallel-vs-serial
-#                               # differential sweep (CMPCACHE_FUZZ gated)
+#                               # --threads 1 vs 4 byte-identity check
 #   scripts/check.sh bench      # perf-regression guards against the
-#                               # committed BENCH_hotpath.json,
-#                               # BENCH_parallel.json and
+#                               # committed BENCH_hotpath.json and
 #                               # BENCH_scale.json baselines (skip
 #                               # with CMPCACHE_SKIP_BENCH=1)
-#   scripts/check.sh perf       # the parallel + hotpath guards with
-#                               # CMPCACHE_FANOUT=1 forced (real
-#                               # worker threads wherever it runs);
-#                               # fresh bench JSON lands in build/perf
-#                               # for CI artifact upload
+#   scripts/check.sh perf       # the hotpath guard alone; the fresh
+#                               # bench JSON lands in build/perf for
+#                               # CI artifact upload
 #   scripts/check.sh serve      # streaming smoke: a 1M-record trace
 #                               # through a FIFO with bounded memory
 #                               # and live ingest gauges, plus open-
@@ -44,9 +43,9 @@ cd "$(dirname "$0")/.."
 
 SELECT="${1:-all}"
 case "$SELECT" in
-unit | e2e | all | sanitize | tsan | obs | faults | fuzz | bench | perf | serve | scale | chaos) ;;
+unit | e2e | all | sanitize | tsan | obs | faults | bench | perf | serve | scale | chaos) ;;
 *)
-    echo "usage: scripts/check.sh [unit|e2e|all|sanitize|tsan|obs|faults|fuzz|bench|perf|serve|scale|chaos]" >&2
+    echo "usage: scripts/check.sh [unit|e2e|all|sanitize|tsan|obs|faults|bench|perf|serve|scale|chaos]" >&2
     exit 2
     ;;
 esac
@@ -102,8 +101,8 @@ fi
 if [ "$SELECT" = tsan ]; then
     # ThreadSanitizer is incompatible with ASan, so it gets its own
     # mode and build tree; the tsan label selects exactly the suites
-    # that exercise the worker pool (domain scheduler properties plus
-    # the parallel differential harness).
+    # that run threads: the sweep cell pool and the streaming reader
+    # thread (queue, demux, serve path).
     run_phase configure \
         cmake -B build-tsan -S . -DCMPCACHE_SANITIZE=thread
     run_phase build cmake --build build-tsan -j"$(nproc)"
@@ -112,15 +111,17 @@ if [ "$SELECT" = tsan ]; then
         -j"$(nproc)" -L tsan
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
-    # CMPCACHE_FANOUT=1 overrides the single-core fan-out gate so the
-    # smoke exercises the real worker threads wherever it runs.
-    run_phase tsan-smoke \
-        env CMPCACHE_FANOUT=1 \
-        ./build-tsan/src/cmpcache sweep \
-        --workloads=thrash --policies=baseline,combined --refs=2000 \
-        --run-threads=4 --sample-every=5000 \
-        --out="$smoke_dir/parallel.json" --quiet
-    echo "tsan: suite + parallel sweep smoke OK"
+    # The cell pool under TSan must also give the serial run's bytes.
+    for t in 1 4; do
+        run_phase "tsan-smoke-t$t" \
+            ./build-tsan/src/cmpcache sweep \
+            --workloads=thrash,pingpong --policies=baseline,combined \
+            --refs=2000 --threads="$t" --sample-every=5000 \
+            --out="$smoke_dir/sweep$t.json" --quiet
+    done
+    cmp "$smoke_dir/sweep1.json" "$smoke_dir/sweep4.json" \
+        || { echo "tsan: sweep differs across --threads" >&2; exit 1; }
+    echo "tsan: suite + sweep pool smoke OK"
     exit 0
 fi
 
@@ -135,9 +136,6 @@ if [ "$SELECT" = bench ]; then
     run_phase bench-hotpath python3 scripts/bench_guard.py \
         --bench build/bench/hotpath \
         --baseline bench/BENCH_hotpath.json
-    run_phase bench-parallel python3 scripts/bench_guard.py \
-        --bench build/bench/parallel_run \
-        --baseline bench/BENCH_parallel.json
     run_phase bench-scale python3 scripts/bench_guard.py \
         --bench build/bench/scale \
         --baseline bench/BENCH_scale.json
@@ -149,28 +147,13 @@ if [ "$SELECT" = perf ]; then
         echo "perf: skipped (CMPCACHE_SKIP_BENCH set)"
         exit 0
     fi
-    # The parallel-kernel and fast-path guards with fan-out forced on,
-    # so the real worker threads run even where the runtime reports
-    # one core. hostCores-mismatched baselines report informationally
-    # instead of gating (scripts/bench_guard.py), so this is safe on
+    # The hotpath guard gates on same-run speedups, so it is safe on
     # any runner; the fresh JSON is kept for artifact upload.
-    run_phase perf-parallel \
-        env CMPCACHE_FANOUT=1 python3 scripts/bench_guard.py \
-        --bench build/bench/parallel_run \
-        --baseline bench/BENCH_parallel.json \
-        --fresh-out build/perf/BENCH_parallel.json
     run_phase perf-hotpath \
-        env CMPCACHE_FANOUT=1 python3 scripts/bench_guard.py \
+        python3 scripts/bench_guard.py \
         --bench build/bench/hotpath \
         --baseline bench/BENCH_hotpath.json \
         --fresh-out build/perf/BENCH_hotpath.json
-    exit 0
-fi
-
-if [ "$SELECT" = fuzz ]; then
-    run_phase fuzz-suite \
-        env CMPCACHE_FUZZ=1 \
-        ctest --test-dir build --output-on-failure -j"$(nproc)" -L fuzz
     exit 0
 fi
 
@@ -325,6 +308,22 @@ unit)
     ;;
 e2e)
     run_phase e2e-suite ctest --output-on-failure -j"$(nproc)" -L e2e
+    # Every subcommand rejects options it never reads: a typo must not
+    # run with defaults, and the removed --run-threads names its
+    # replacement.
+    for bad in --bogus-flag=3 --run-threads=4; do
+        status=0
+        err="$(./src/cmpcache sweep --refs=100 --workloads=thrash \
+            --policies=baseline "$bad" --quiet 2>&1 >/dev/null)" \
+            || status=$?
+        if [ "$status" -ne 1 ]; then
+            echo "cli: sweep $bad exited $status (want 1)" >&2
+            exit 1
+        fi
+    done
+    grep -q 'sweep --threads=N' <<<"$err" \
+        || { echo "cli: --run-threads error lacks the hint" >&2; exit 1; }
+    echo "e2e: suite + CLI option smoke OK"
     ;;
 faults)
     run_phase faults-suite \
@@ -341,8 +340,7 @@ faults)
     grep -q 'fault.forced_l3_retries' "$smoke_dir/faulty.json" \
         || { echo "faulty sweep sampled no fault probes" >&2; exit 1; }
     # With faults off the results must be byte-identical across sweep
-    # worker counts and per-run kernel worker counts, and carry no
-    # fault/error artifacts at all.
+    # worker counts and carry no fault/error artifacts at all.
     for t in 1 4; do
         run_phase "faults-clean-t$t" \
             ./src/cmpcache sweep \
@@ -351,15 +349,6 @@ faults)
     done
     cmp "$smoke_dir/clean1.json" "$smoke_dir/clean4.json" \
         || { echo "faults-off sweep differs across thread counts" >&2; exit 1; }
-    for rt in 1 4; do
-        run_phase "faults-clean-rt$rt" \
-            ./src/cmpcache sweep \
-            --workloads=thrash --policies=baseline,wbht --refs=2000 \
-            --run-threads="$rt" --out="$smoke_dir/cleanrt$rt.json" \
-            --quiet
-        cmp "$smoke_dir/clean1.json" "$smoke_dir/cleanrt$rt.json" \
-            || { echo "sweep differs with run-threads=$rt" >&2; exit 1; }
-    done
     if grep -qE '"status"|fault\.' "$smoke_dir/clean1.json"; then
         echo "faults-off sweep output carries fault artifacts" >&2
         exit 1

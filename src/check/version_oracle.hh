@@ -49,10 +49,10 @@
  *    fires the moment a stale copy actually *supplies* a demand
  *    request.
  *
- * Thread safety: store/drop hooks fire from domain-worker threads
- * when run.threads > 0, so all state sits behind a mutex and
- * violations are *recorded* first and thrown at the next serial point
- * (every combine, plus throwIfViolated() at end of run).
+ * Violations are *recorded* first and thrown at the next serial
+ * point (every combine, plus throwIfViolated() at end of run), so a
+ * store or drop hook never unwinds through the component calling it.
+ * Not thread-safe: one oracle per machine, driven by its event queue.
  */
 
 #ifndef CMPCACHE_CHECK_VERSION_ORACLE_HH
@@ -60,7 +60,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -202,7 +201,6 @@ class VersionOracle
     AgentId l3Agent_;
     SnapshotFn snapshot_;
 
-    mutable std::mutex mu_;
     std::unordered_map<Addr, LineShadow> lines_;
 
     struct Violation

@@ -37,12 +37,24 @@ CliArgs::CliArgs(int argc, const char *const *argv,
 bool
 CliArgs::has(const std::string &key) const
 {
+    read_.insert(key);
     return options_.count(key) > 0;
+}
+
+std::vector<std::string>
+CliArgs::unread() const
+{
+    std::vector<std::string> keys;
+    for (const auto &kv : options_)
+        if (read_.count(kv.first) == 0)
+            keys.push_back(kv.first);
+    return keys;
 }
 
 std::string
 CliArgs::getString(const std::string &key, const std::string &def) const
 {
+    read_.insert(key);
     const auto it = options_.find(key);
     return it == options_.end() ? def : it->second;
 }
@@ -50,6 +62,7 @@ CliArgs::getString(const std::string &key, const std::string &def) const
 std::int64_t
 CliArgs::getInt(const std::string &key, std::int64_t def) const
 {
+    read_.insert(key);
     const auto it = options_.find(key);
     if (it == options_.end())
         return def;
@@ -64,6 +77,7 @@ CliArgs::getInt(const std::string &key, std::int64_t def) const
 double
 CliArgs::getDouble(const std::string &key, double def) const
 {
+    read_.insert(key);
     const auto it = options_.find(key);
     if (it == options_.end())
         return def;
@@ -78,6 +92,7 @@ CliArgs::getDouble(const std::string &key, double def) const
 bool
 CliArgs::getBool(const std::string &key, bool def) const
 {
+    read_.insert(key);
     const auto it = options_.find(key);
     if (it == options_.end())
         return def;

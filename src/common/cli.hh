@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,10 @@ namespace cmpcache
 /**
  * Parses "--key=value" / "--flag" style arguments. Unknown positional
  * arguments are collected in order.
+ *
+ * Every has()/get*() call marks its key as read, so a driver that has
+ * read all the options it understands can reject the rest through
+ * unread() instead of silently ignoring a typo.
  *
  * Multi-tool drivers (e.g. the `cmpcache` binary) can additionally
  * treat the first argument as a subcommand: when @p allow_subcommand
@@ -46,6 +51,10 @@ class CliArgs
         return positional_;
     }
 
+    /** Options given on the command line that no has()/get*() call
+     * has read yet, in sorted order. */
+    std::vector<std::string> unread() const;
+
     /** Environment-variable integer override helper. */
     static std::int64_t envInt(const char *name, std::int64_t def);
 
@@ -53,6 +62,8 @@ class CliArgs
     std::string subcommand_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
+    /** Keys queried so far (see unread()). */
+    mutable std::set<std::string> read_;
 };
 
 } // namespace cmpcache

@@ -74,10 +74,8 @@ L1FilteredSource::next(TraceRecord &rec)
 
         const auto res = l1_.access(raw.addr, raw.op);
         if (res.hit) {
-            // Absorbed: its think-time folds into the next record.
-            // (Runs of L1 hits thus never reach the event kernel at
-            // all; the hit runs TraceCpu's fast path batches are the
-            // *L2* hits among the misses that emerge below.)
+            // Absorbed: its think-time folds into the next record
+            // (runs of L1 hits thus never reach the event kernel).
             accumulatedGap_ += raw.gap + hitCycles_;
             continue;
         }

@@ -2,6 +2,8 @@
  * @file
  * cmpcache: the multi-tool driver. Subcommands:
  *
+ *   run     simulate one workload or trace file and print a summary,
+ *           with optional full stats dumps and the effective config
  *   sweep   run a {workloads} x {policies} x {outstanding} grid on a
  *           thread pool and emit deterministic JSON results plus an
  *           optional timing (bench) file
@@ -14,7 +16,13 @@
  *   list    print the available workloads and policies
  *   help    usage text
  *
+ * Every subcommand rejects options it does not read, so a typo such
+ * as --thread=4 fails instead of running with the default.
+ *
  * Examples:
+ *
+ *   # one paper cell, any config key as a positional override
+ *   cmpcache run --workload=Trade2 policy=combined --stats
  *
  *   # the paper grid: 4 workloads x 4 policies, deterministic output
  *   cmpcache sweep --out=results.json --threads=4
@@ -30,25 +38,27 @@
  *       --policies=baseline,combined --outstanding=2,6 \
  *       --refs=2000 --check-coherence \
  *       --bench-out=bench/BENCH_stress.json
- *
- * Single-cell runs with full stats dumps remain the job of
- * examples/cmpsim.
  */
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "check/chaos.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "l1/l1_cache.hh"
 #include "obs/time_series.hh"
+#include "obs/trace_export.hh"
 #include "sim/config_io.hh"
 #include "sim/result_json.hh"
 #include "sim/simulation.hh"
 #include "sim/sweep.hh"
+#include "stats/sink.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
 #include "trace/workload_config.hh"
 #include "trace/workloads_commercial.hh"
@@ -66,13 +76,29 @@ usage()
         "cmpcache -- CMP cache-hierarchy simulator (ISCA'05 repro)\n\n"
         "usage: cmpcache <subcommand> [options]\n\n"
         "subcommands:\n"
+        "  run     simulate one workload or trace file\n"
         "  sweep   run a workload x policy x outstanding grid\n"
         "  serve   simulate a streamed trace (file/FIFO/stdin) or a\n"
         "          synthetic generator online with bounded memory\n"
         "  chaos   seeded coherence fuzzing under the conformance\n"
         "          oracle, with reproducer minimization on failure\n"
-        "  list    print available workloads and policies\n"
+        "  list    print available workloads, policies and keys\n"
         "  help    this text\n\n"
+        "run options:\n"
+        "  --workload=NAME       synthetic workload (default TP)\n"
+        "  --trace=FILE          trace file instead of a workload\n"
+        "  --refs=N              references/thread (default 30000,\n"
+        "                        or CMPCACHE_REFS)\n"
+        "  --seed=N              workload seed (default 1)\n"
+        "  --l1-filter           filter the input through private L1s\n"
+        "  --stats[=FILE]        dump all statistics as text\n"
+        "  --csv[=FILE]          dump statistics as CSV\n"
+        "  --json[=FILE]         dump statistics as JSON\n"
+        "  --dump-config         print the effective configuration\n"
+        "  --config=FILE, KEY=VALUE, --sample-every=N,\n"
+        "  --trace-out=FILE      as for sweep, for the one cell\n"
+        "  (run defaults retry.window=250000 retry.threshold=100,\n"
+        "  a retry switch scaled for short synthetic runs)\n\n"
         "chaos options:\n"
         "  --seed=N              master seed (default 1); every\n"
         "                        sample derives its own stream\n"
@@ -102,7 +128,6 @@ usage()
         "  --sample-every=N      sample obs probes plus live ingest\n"
         "                        gauges (queue depth, ingest rate,\n"
         "                        drops) every N cycles\n"
-        "  --run-threads=N|auto  per-simulation event-kernel workers\n"
         "  --out=FILE            result JSON (default: stdout);\n"
         "                        includes a timeSeries block when\n"
         "                        sampling is on\n"
@@ -117,11 +142,9 @@ usage()
         "  --refs=N              references/thread (default 20000,\n"
         "                        or CMPCACHE_REFS)\n"
         "  --seed=N              workload seed (default 1)\n"
-        "  --threads=N           worker threads (default: hardware)\n"
-        "  --run-threads=N|auto  per-simulation event-kernel workers\n"
-        "                        (0 = serial kernel, the default;\n"
-        "                        auto picks from the host and shape;\n"
-        "                        any N gives bit-identical results)\n"
+        "  --threads=N           cells run in parallel (default:\n"
+        "                        hardware); any N gives bit-identical\n"
+        "                        results\n"
         "  --out=FILE            results JSON (default: stdout)\n"
         "  --bench-out=FILE      timing JSON, e.g. "
         "bench/BENCH_grid.json\n"
@@ -149,23 +172,77 @@ usage()
         "status:\"error\" in the results)\n";
 }
 
-/** --run-threads=N|auto (auto = SystemConfig::RunThreadsAuto). */
-unsigned
-parseRunThreads(const std::string &v)
+/** Positional wl.* overrides, applied to the synthetic workload. */
+using WorkloadOverrides = std::vector<std::pair<std::string, std::string>>;
+
+/**
+ * The base configuration every machine-building subcommand shares:
+ * --config=FILE first, then positional KEY=VALUE overrides in order.
+ * wl.* keys adjust the synthetic workload and are returned instead.
+ */
+WorkloadOverrides
+applyConfigArgs(const CliArgs &args, SystemConfig &cfg)
 {
-    if (v == "auto")
-        return SystemConfig::RunThreadsAuto;
-    std::size_t used = 0;
-    long long n = -1;
-    try {
-        n = std::stoll(v, &used);
-    } catch (const std::exception &) {
-        used = 0;
+    if (args.has("config")) {
+        const auto loaded =
+            loadConfigFile(cfg, args.getString("config", ""));
+        if (!loaded.ok())
+            cmp_fatal(loaded.error().message);
     }
-    if (used != v.size() || n < 0)
-        cmp_fatal("--run-threads expects a count >= 0 or 'auto', "
-                  "got '", v, "'");
-    return static_cast<unsigned>(n);
+    WorkloadOverrides wl_overrides;
+    for (const auto &pos : args.positional()) {
+        const auto eq = pos.find('=');
+        if (eq == std::string::npos)
+            cmp_fatal("positional argument '", pos,
+                      "' is not a key=value override");
+        const std::string key = pos.substr(0, eq);
+        const std::string value = pos.substr(eq + 1);
+        if (isWorkloadKey(key)) {
+            wl_overrides.emplace_back(key, value);
+        } else {
+            const auto applied = applyConfigOption(cfg, key, value);
+            if (!applied.ok())
+                cmp_fatal(applied.error().message);
+        }
+    }
+    return wl_overrides;
+}
+
+/** --sample-every=N; the CLI overrides a config-file obs.* key. */
+void
+applySampleEvery(const CliArgs &args, SystemConfig &cfg)
+{
+    if (!args.has("sample-every"))
+        return;
+    const auto every = args.getInt("sample-every", 0);
+    if (every < 0)
+        cmp_fatal("--sample-every must be >= 0");
+    cfg.obs.sampleEvery = static_cast<Tick>(every);
+}
+
+/** --trace-out=FILE turns transaction tracing on; "" when absent. */
+std::string
+applyTraceOut(const CliArgs &args, SystemConfig &cfg)
+{
+    std::string path = args.getString("trace-out", "");
+    if (!path.empty())
+        cfg.obs.traceEnabled = true;
+    return path;
+}
+
+/**
+ * Fail on every option @p cmd has not read. Call once the subcommand
+ * has read all the options it understands, before any real work.
+ */
+void
+rejectUnreadOptions(const CliArgs &args, const char *cmd)
+{
+    for (const auto &key : args.unread()) {
+        if (key == "run-threads")
+            cmp_fatal(removedRunThreadsMessage());
+        cmp_fatal("unknown option --", key, " for `cmpcache ", cmd,
+                  "` (see `cmpcache help`)");
+    }
 }
 
 StatsFormat
@@ -214,8 +291,9 @@ splitCsv(const std::string &s)
 }
 
 int
-listMain()
+listMain(const CliArgs &args)
 {
+    rejectUnreadOptions(args, "list");
     std::cout << "commercial workloads:\n";
     for (const auto &w : workloads::allNames())
         std::cout << "  " << w << "\n";
@@ -227,6 +305,12 @@ listMain()
          {WbPolicy::Baseline, WbPolicy::Wbht, WbPolicy::WbhtGlobal,
           WbPolicy::Snarf, WbPolicy::Combined})
         std::cout << "  " << toString(p) << "\n";
+    std::cout << "config keys (KEY=VALUE):\n";
+    for (const auto &k : configKeys())
+        std::cout << "  " << k << "\n";
+    std::cout << "workload keys (KEY=VALUE, synthetic inputs):\n";
+    for (const auto &k : workloadConfigKeys())
+        std::cout << "  " << k << "\n";
     return 0;
 }
 
@@ -258,48 +342,13 @@ sweepMain(const CliArgs &args)
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     spec.checkCoherence = args.getBool("check-coherence", false);
 
-    if (args.has("config")) {
-        const auto loaded =
-            loadConfigFile(spec.base, args.getString("config", ""));
-        if (!loaded.ok())
-            cmp_fatal(loaded.error().message);
-    }
-    for (const auto &pos : args.positional()) {
-        const auto eq = pos.find('=');
-        if (eq == std::string::npos)
-            cmp_fatal("positional argument '", pos,
-                      "' is not a key=value override");
-        const std::string key = pos.substr(0, eq);
-        const std::string value = pos.substr(eq + 1);
-        if (isWorkloadKey(key)) {
-            spec.workloadOverrides.emplace_back(key, value);
-        } else {
-            const auto applied =
-                applyConfigOption(spec.base, key, value);
-            if (!applied.ok())
-                cmp_fatal(applied.error().message);
-        }
-    }
-
-    // CLI observability knobs override config-file obs.* keys.
-    if (args.has("sample-every")) {
-        const auto every = args.getInt("sample-every", 0);
-        if (every < 0)
-            cmp_fatal("--sample-every must be >= 0");
-        spec.base.obs.sampleEvery = static_cast<Tick>(every);
-    }
-    const std::string trace_out = args.getString("trace-out", "");
-    if (!trace_out.empty())
-        spec.base.obs.traceEnabled = true;
+    spec.workloadOverrides = applyConfigArgs(args, spec.base);
+    applySampleEvery(args, spec.base);
+    const std::string trace_out = applyTraceOut(args, spec.base);
     if (args.has("stats-format"))
         spec.statsFormat = statsFormatFromString(
             args.getString("stats-format", ""));
     const std::string stats_out = args.getString("stats-out", "");
-
-    if (args.has("run-threads")) {
-        spec.base.runThreads =
-            parseRunThreads(args.getString("run-threads", "0"));
-    }
 
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
@@ -309,8 +358,12 @@ sweepMain(const CliArgs &args)
     if (threads == 0)
         cmp_fatal("--threads must be positive");
 
-    SweepProgressPrinter progress(std::cerr);
+    const auto out = args.getString("out", "-");
+    const auto bench_out = args.getString("bench-out", "");
     const bool quiet = args.getBool("quiet", false);
+    rejectUnreadOptions(args, "sweep");
+
+    SweepProgressPrinter progress(std::cerr);
     if (!quiet)
         inform("sweep: ", spec.size(), " jobs on ", threads,
                " threads (", spec.workloads.size(), " workloads x ",
@@ -324,7 +377,6 @@ sweepMain(const CliArgs &args)
                             std::chrono::steady_clock::now() - start)
                             .count();
 
-    const auto out = args.getString("out", "-");
     if (out == "-" || out.empty()) {
         writeSweepResultsJson(std::cout, spec, results);
     } else {
@@ -369,14 +421,13 @@ sweepMain(const CliArgs &args)
         }
     }
 
-    if (args.has("bench-out")) {
-        const auto path = args.getString("bench-out", "");
-        std::ofstream os(path);
+    if (!bench_out.empty()) {
+        std::ofstream os(bench_out);
         if (!os)
-            cmp_fatal("cannot write bench file '", path, "'");
+            cmp_fatal("cannot write bench file '", bench_out, "'");
         writeSweepBenchJson(os, spec, results, threads, wall);
         if (!quiet)
-            inform("sweep: bench timing written to ", path);
+            inform("sweep: bench timing written to ", bench_out);
     }
 
     if (spec.checkCoherence) {
@@ -426,6 +477,7 @@ chaosMain(const CliArgs &args)
         cmp_fatal("--minimize-target must be >= 0");
     opts.minimizeTargetRecords = static_cast<std::size_t>(target);
     opts.reproDir = args.getString("repro-dir", "chaos-repro");
+    rejectUnreadOptions(args, "chaos");
 
     const ChaosReport report = runChaos(opts, std::cerr);
     if (!report.failed)
@@ -444,29 +496,7 @@ serveMain(const CliArgs &args)
     // serve is the live mode: ingest gauges default on (an explicit
     // obs.ingest=false override below still disables them).
     cfg.obs.ingestGauges = true;
-
-    if (args.has("config")) {
-        const auto loaded =
-            loadConfigFile(cfg, args.getString("config", ""));
-        if (!loaded.ok())
-            cmp_fatal(loaded.error().message);
-    }
-    std::vector<std::pair<std::string, std::string>> wl_overrides;
-    for (const auto &pos : args.positional()) {
-        const auto eq = pos.find('=');
-        if (eq == std::string::npos)
-            cmp_fatal("positional argument '", pos,
-                      "' is not a key=value override");
-        const std::string key = pos.substr(0, eq);
-        const std::string value = pos.substr(eq + 1);
-        if (isWorkloadKey(key)) {
-            wl_overrides.emplace_back(key, value);
-        } else {
-            const auto applied = applyConfigOption(cfg, key, value);
-            if (!applied.ok())
-                cmp_fatal(applied.error().message);
-        }
-    }
+    const WorkloadOverrides wl_overrides = applyConfigArgs(args, cfg);
 
     if (args.has("arrival")) {
         const auto spec =
@@ -478,16 +508,7 @@ serveMain(const CliArgs &args)
         cfg.arrival.model = spec->model;
         cfg.arrival.rate = spec->rate;
     }
-    if (args.has("sample-every")) {
-        const auto every = args.getInt("sample-every", 0);
-        if (every < 0)
-            cmp_fatal("--sample-every must be >= 0");
-        cfg.obs.sampleEvery = static_cast<Tick>(every);
-    }
-    if (args.has("run-threads")) {
-        cfg.runThreads =
-            parseRunThreads(args.getString("run-threads", "0"));
-    }
+    applySampleEvery(args, cfg);
 
     const std::string trace = args.getString("trace", "");
     const std::string workload = args.getString("workload", "");
@@ -495,11 +516,25 @@ serveMain(const CliArgs &args)
         cmp_fatal("serve needs exactly one input: --trace=PATH|- or "
                   "--workload=NAME");
     }
+    std::optional<WorkloadParams> params;
+    if (!workload.empty()) {
+        params = sweepWorkloadByName(
+            workload,
+            static_cast<std::uint64_t>(args.getInt(
+                "refs",
+                static_cast<std::int64_t>(
+                    benchRecordsPerThread(20000)))),
+            static_cast<std::uint64_t>(args.getInt("seed", 1)));
+        for (const auto &[key, value] : wl_overrides)
+            applyWorkloadOption(*params, key, value);
+    }
+    const auto out = args.getString("out", "-");
+    const bool quiet = args.getBool("quiet", false);
+    rejectUnreadOptions(args, "serve");
     cfg.validate();
 
-    const bool quiet = args.getBool("quiet", false);
     std::unique_ptr<Simulation> sim;
-    if (!trace.empty()) {
+    if (!params) {
         std::unique_ptr<std::istream> in;
         std::string name = trace;
         if (trace == "-") {
@@ -523,25 +558,15 @@ serveMain(const CliArgs &args)
         sim = std::make_unique<Simulation>(cfg, std::move(in),
                                            std::move(name));
     } else {
-        auto params = sweepWorkloadByName(
-            workload,
-            static_cast<std::uint64_t>(args.getInt(
-                "refs",
-                static_cast<std::int64_t>(
-                    benchRecordsPerThread(20000)))),
-            static_cast<std::uint64_t>(args.getInt("seed", 1)));
-        for (const auto &[key, value] : wl_overrides)
-            applyWorkloadOption(params, key, value);
         if (!quiet)
             inform("serve: synthetic ", workload, " generator, ",
-                   params.recordsPerThread, " records/thread, "
+                   params->recordsPerThread, " records/thread, "
                    "arrival ", toString(cfg.arrival.model));
-        sim = std::make_unique<Simulation>(cfg, params);
+        sim = std::make_unique<Simulation>(cfg, *params);
     }
 
     const auto &result = sim->run();
 
-    const auto out = args.getString("out", "-");
     std::ofstream file;
     if (out != "-" && !out.empty()) {
         file.open(out);
@@ -568,6 +593,122 @@ serveMain(const CliArgs &args)
         inform("serve: finished at tick ", result.execTime,
                ", result written to ",
                file.is_open() ? out : std::string("stdout"));
+    }
+    return 0;
+}
+
+/** Write a stats dump to @p path, or to stdout when path=="true"
+ * (the flag was given with no value). */
+void
+dumpStats(const stats::Group &root, const std::string &path,
+          void (*writer)(const stats::Group &, std::ostream &))
+{
+    if (path == "true") {
+        writer(root, std::cout);
+    } else {
+        std::ofstream os(path);
+        if (!os)
+            cmp_fatal("cannot write stats file '", path, "'");
+        writer(root, os);
+    }
+}
+
+int
+runMain(const CliArgs &args)
+{
+    SystemConfig cfg;
+    // Scaled retry switch suited to short synthetic runs; override
+    // via config for paper-scale traces.
+    cfg.policy.retry.windowCycles = 250000;
+    cfg.policy.retry.threshold = 100;
+
+    const WorkloadOverrides wl_overrides = applyConfigArgs(args, cfg);
+    applySampleEvery(args, cfg);
+    const std::string trace_out = applyTraceOut(args, cfg);
+    const bool dump_config = args.getBool("dump-config", false);
+
+    // Build the input bundle.
+    TraceBundle bundle;
+    std::string input_name;
+    std::optional<TraceBundle> warmup;
+    std::optional<SyntheticWorkload> synth;
+    if (args.has("trace")) {
+        input_name = args.getString("trace", "");
+    } else {
+        const auto refs = static_cast<std::uint64_t>(args.getInt(
+            "refs",
+            static_cast<std::int64_t>(benchRecordsPerThread(30000))));
+        auto wl = sweepWorkloadByName(
+            args.getString("workload", "TP"), refs,
+            static_cast<std::uint64_t>(args.getInt("seed", 1)));
+        for (const auto &[key, value] : wl_overrides)
+            applyWorkloadOption(wl, key, value);
+        input_name = wl.name;
+        cfg.l2.lineSize = wl.lineSize;
+        cfg.l3.lineSize = wl.lineSize;
+        synth.emplace(wl);
+    }
+    const bool l1_filter = args.getBool("l1-filter", false);
+    const std::string stats_text =
+        args.has("stats") ? args.getString("stats", "true") : "";
+    const std::string stats_csv =
+        args.has("csv") ? args.getString("csv", "true") : "";
+    const std::string stats_json =
+        args.has("json") ? args.getString("json", "true") : "";
+    rejectUnreadOptions(args, "run");
+
+    if (dump_config)
+        saveConfig(cfg, std::cout);
+    if (synth) {
+        bundle = synth->makeBundle();
+        if (cfg.warmupPass)
+            warmup = synth->makeBundle();
+    } else {
+        auto records = readTraceFile(input_name);
+        if (!records.ok())
+            cmp_fatal(records.error().message);
+        bundle = splitByThread(*records, cfg.numThreads());
+    }
+    if (l1_filter) {
+        L1Params l1p;
+        l1p.lineSize = cfg.l2.lineSize;
+        bundle = filterThroughL1(std::move(bundle), l1p);
+    }
+
+    Simulation sim(cfg, std::move(bundle), input_name,
+                   warmup ? &*warmup : nullptr);
+    // A watchdog trip flushes whatever the tracer captured so the
+    // hang can be inspected in Perfetto.
+    if (!trace_out.empty())
+        sim.setWatchdogFlushPath(trace_out);
+    const ExperimentResult r = sim.run();
+
+    std::cout << input_name << ": " << r.execTime << " cycles\n"
+              << "  L2 hit rate        " << r.l2HitRatePct << "%\n"
+              << "  L3 load hit rate   " << r.l3LoadHitRatePct << "%\n"
+              << "  clean WB redundant " << r.cleanWbRedundantPct
+              << "%\n"
+              << "  L2 WB requests     " << r.l2WbRequests << "\n"
+              << "  L3 retries         " << r.l3Retries << "\n"
+              << "  off-chip accesses  " << r.offChipAccesses << "\n";
+    if (sim.config().policy.usesWbht())
+        std::cout << "  WBHT correct       " << r.wbhtCorrectPct
+                  << "% (aborted " << r.wbAborted << ")\n";
+
+    if (!stats_text.empty())
+        dumpStats(sim.system(), stats_text, &stats::writeText);
+    if (!stats_csv.empty())
+        dumpStats(sim.system(), stats_csv, &stats::writeCsv);
+    if (!stats_json.empty())
+        dumpStats(sim.system(), stats_json, &stats::writeJson);
+
+    if (!trace_out.empty()) {
+        std::ofstream os(trace_out);
+        if (!os)
+            cmp_fatal("cannot write trace file '", trace_out, "'");
+        writeChromeTrace(os, sim.traceEvents(),
+                         sim.sampled() ? &sim.samples() : nullptr);
+        std::cerr << "trace written to " << trace_out << "\n";
     }
     return 0;
 }
@@ -613,8 +754,17 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    if (cmd == "run") {
+        try {
+            return runMain(args);
+        } catch (const SimException &e) {
+            std::cerr << "error (" << toString(e.error().kind)
+                      << "): " << e.error().message << "\n";
+            return 1;
+        }
+    }
     if (cmd == "list")
-        return listMain();
+        return listMain(args);
     cmp_fatal("unknown subcommand '", cmd,
-              "' (expected sweep, serve, chaos, list or help)");
+              "' (expected run, sweep, serve, chaos, list or help)");
 }

@@ -2,8 +2,8 @@
  * @file
  * Textual configuration for SystemConfig: simple "key = value" lines
  * ('#' comments), so whole experiments live in version-controllable
- * files. The same keys work as --key=value command-line overrides in
- * the cmpsim driver.
+ * files. The same keys work as positional KEY=VALUE overrides on
+ * every `cmpcache` subcommand that builds a machine.
  *
  * Example:
  *
@@ -53,6 +53,10 @@ void saveConfig(const SystemConfig &cfg, std::ostream &os);
 
 /** All recognized keys (driver --help text, tests). */
 const std::vector<std::string> &configKeys();
+
+/** The error for the removed run.threads key and --run-threads flag,
+ * pointing at cell-level parallelism (`cmpcache sweep --threads`). */
+const char *removedRunThreadsMessage();
 
 } // namespace cmpcache
 

@@ -184,22 +184,20 @@ StreamDemux::StreamDemux(BoundedRecordQueue &q, unsigned numThreads,
 bool
 StreamDemux::pull(ThreadId tid, TraceRecord &rec)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     auto &mine = perThread_.at(tid);
     for (;;) {
         if (!mine.empty()) {
             rec = mine.front();
             mine.pop_front();
-            buffered_.fetch_sub(1, std::memory_order_relaxed);
+            --buffered_;
             return true;
         }
         if (failed_)
             throw SimException(err_);
         if (eof_)
             return false;
-        // Pull the next interleaved record. Holding our lock across
-        // the (possibly blocking) pop is safe: the producer only
-        // touches the queue, never this mutex.
+        // Pull the next interleaved record (blocks while the reader
+        // thread catches up).
         TraceRecord r;
         if (!q_.pop(r)) {
             eof_ = true;
@@ -222,7 +220,7 @@ StreamDemux::pull(ThreadId tid, TraceRecord &rec)
             rec = r;
             return true;
         }
-        if (buffered_.load(std::memory_order_relaxed) >= skewCap_) {
+        if (buffered_ >= skewCap_) {
             failed_ = true;
             err_ = SimError(
                 SimErrorKind::Trace,
@@ -233,7 +231,7 @@ StreamDemux::pull(ThreadId tid, TraceRecord &rec)
             throw SimException(err_);
         }
         perThread_[r.tid].push_back(r);
-        buffered_.fetch_add(1, std::memory_order_relaxed);
+        ++buffered_;
     }
 }
 

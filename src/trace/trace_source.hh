@@ -183,10 +183,11 @@ class BoundedRecordQueue
  * structured error instead of growing without bound, which is what
  * keeps the streaming path's memory bounded end to end.
  *
- * Thread safe: in parallel runs (run.threads > 0) the per-CPU
- * sources pull from scheduler worker threads. Per-thread
- * subsequences are preserved regardless of pull order, so streamed
- * results are byte-identical to the batch path.
+ * Single consumer: only the simulation thread pulls (the reader
+ * thread touches the BoundedRecordQueue alone), so the demux needs
+ * no locking. Per-thread subsequences are preserved regardless of
+ * pull order, so streamed results are byte-identical to the batch
+ * path.
  */
 class StreamDemux
 {
@@ -201,17 +202,16 @@ class StreamDemux
      */
     bool pull(ThreadId tid, TraceRecord &rec);
 
-    std::size_t buffered() const { return buffered_.load(std::memory_order_relaxed); }
+    std::size_t buffered() const { return buffered_; }
 
   private:
     BoundedRecordQueue &q_;
     const std::size_t skewCap_;
-    std::mutex mtx_;
     std::vector<std::deque<TraceRecord>> perThread_;
     bool eof_ = false;
     bool failed_ = false;
     SimError err_;
-    std::atomic<std::size_t> buffered_{0};
+    std::size_t buffered_ = 0;
 };
 
 /** TraceSource view of one thread's slice of a StreamDemux. */
@@ -264,7 +264,9 @@ class StreamIngest
     /** Unblock and join the reader thread (idempotent). */
     void stop();
 
-    /// @name Live gauges (safe from any thread; sampled by obs).
+    /// @name Live gauges, sampled by obs. The queue counters are
+    /// safe from any thread; demuxBuffered() only from the
+    /// simulation thread.
     /// @{
     std::size_t queueDepth() const { return q_.depth(); }
     std::uint64_t recordsIngested() const { return q_.pushed(); }

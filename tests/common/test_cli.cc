@@ -88,3 +88,37 @@ TEST(Cli, EnvIntFallsBackOnGarbage)
     ::unsetenv("CMPCACHE_TEST_ENVINT");
     EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 5);
 }
+
+TEST(Cli, UnreadListsOnlyOptionsNeverQueried)
+{
+    const auto a = parse({"--refs=100", "--thread=4", "--quiet", "pos"});
+    EXPECT_EQ(a.getInt("refs", 0), 100);
+    EXPECT_FALSE(a.has("threads")); // a near miss is not a read of --thread
+    EXPECT_TRUE(a.getBool("quiet", false));
+    const std::vector<std::string> want = {"thread"};
+    EXPECT_EQ(a.unread(), want);
+    // Positionals are the caller's to validate; they never show up.
+    EXPECT_EQ(a.positional().size(), 1u);
+}
+
+TEST(Cli, EveryAccessorMarksItsKeyRead)
+{
+    const auto a = parse({"--a=1", "--b=2.5", "--c=on", "--d=x",
+                          "--e"});
+    a.getInt("a", 0);
+    a.getDouble("b", 0.0);
+    a.getBool("c", false);
+    a.getString("d", "");
+    EXPECT_EQ(a.unread(), std::vector<std::string>{"e"});
+    a.has("e");
+    EXPECT_TRUE(a.unread().empty());
+}
+
+TEST(Cli, SubcommandIsNotAnOption)
+{
+    std::vector<const char *> v = {"prog", "sweep", "--bogus-flag=3"};
+    const CliArgs a(static_cast<int>(v.size()), v.data(),
+                    /*allow_subcommand=*/true);
+    EXPECT_EQ(a.subcommand(), "sweep");
+    EXPECT_EQ(a.unread(), std::vector<std::string>{"bogus-flag"});
+}

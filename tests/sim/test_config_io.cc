@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/config_io.hh"
@@ -142,42 +143,43 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     EXPECT_TRUE(b.enableWbReuseTracker);
 }
 
-TEST(ConfigIo, RunThreadsParsesCountsAndAuto)
+TEST(ConfigIo, RemovedRunThreadsKeyPointsAtSweepThreads)
 {
     SystemConfig cfg;
-    mustApply(cfg, "run.threads", "4");
-    EXPECT_EQ(cfg.runThreads, 4u);
-    EXPECT_EQ(cfg.resolvedRunThreads(), 4u);
+    const auto r = applyConfigOption(cfg, "run.threads", "4");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, SimErrorKind::Config);
+    EXPECT_NE(r.error().message.find("sweep --threads=N"),
+              std::string::npos)
+        << r.error().message;
+    EXPECT_EQ(r.error().message.find('\n'), std::string::npos)
+        << "the error must stay on one line";
 
-    mustApply(cfg, "run.threads", "auto");
-    EXPECT_EQ(cfg.runThreads, SystemConfig::RunThreadsAuto);
-    // Resolution is host-dependent but always a concrete count
-    // bounded by the machine shape.
-    EXPECT_NE(cfg.resolvedRunThreads(), SystemConfig::RunThreadsAuto);
-    EXPECT_LE(cfg.resolvedRunThreads(), cfg.numL2s());
-
-    const auto bad = applyConfigOption(cfg, "run.threads", "several");
-    EXPECT_FALSE(bad.ok());
+    // Through a config file the error names the line, like any other.
+    std::istringstream is("policy = wbht\nrun.threads = auto\n");
+    const auto loaded = loadConfig(cfg, is);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error().message.find("config line 2"),
+              std::string::npos)
+        << loaded.error().message;
+    EXPECT_NE(loaded.error().message.find("sweep --threads=N"),
+              std::string::npos)
+        << loaded.error().message;
 }
 
-TEST(ConfigIo, RunThreadsAutoSavesAsAuto)
+TEST(ConfigIo, RemovedKernelKeysAreUnknown)
 {
-    SystemConfig a;
-    a.runThreads = SystemConfig::RunThreadsAuto;
-    a.runFastpath = false;
-    a.obs.schedGauges = true;
-
-    std::stringstream ss;
-    saveConfig(a, ss);
-    EXPECT_NE(ss.str().find("run.threads = auto"), std::string::npos)
-        << ss.str();
-
-    SystemConfig b;
-    const auto r = loadConfig(b, ss);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(b.runThreads, SystemConfig::RunThreadsAuto);
-    EXPECT_FALSE(b.runFastpath);
-    EXPECT_TRUE(b.obs.schedGauges);
+    for (const char *key : {"run.fastpath", "obs.sched"}) {
+        SystemConfig cfg;
+        const auto r = applyConfigOption(cfg, key, "true");
+        ASSERT_FALSE(r.ok()) << key;
+        EXPECT_NE(r.error().message.find("unknown config key"),
+                  std::string::npos)
+            << r.error().message;
+    }
+    const auto &keys = configKeys();
+    for (const char *key : {"run.threads", "run.fastpath", "obs.sched"})
+        EXPECT_EQ(std::count(keys.begin(), keys.end(), key), 0) << key;
 }
 
 TEST(ConfigIo, KeyListNonEmptyAndSorted)
