@@ -12,17 +12,26 @@
  *
  * Emits cmpcache-scale-bench-v1 JSON. The committed baseline lives in
  * bench/BENCH_scale.json; scripts/bench_guard.py guards only the
- * 8-core cell's events/sec (marked "guard": true), the larger
- * machines are informational.
+ * 8-core cell (marked "guard": true), the larger machines are
+ * informational. The guard reads each cell's "speedup": its
+ * events/sec divided by the ops/sec of a fixed reference-kernel
+ * churn loop timed in the same process, so a slower or busier host
+ * moves both sides and cancels out, while a slower simulator does
+ * not.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
+#include "sim/reference_event_queue.hh"
 #include "sim/sweep.hh"
 #include "trace/workloads_commercial.hh"
 
@@ -36,6 +45,9 @@ struct ScaleCell
     unsigned cores = 0;
     unsigned l2s = 0;
     SweepJobResult r;
+    /** Median over repeats of events/sec over referenceOpsPerSec()
+     * timed just before it. */
+    double speedup = 0.0;
 };
 
 /** Doubles print round-trippably, mirroring the sweep writers. */
@@ -46,6 +58,43 @@ jsonNum(double v)
     os.precision(17);
     os << v;
     return os.str();
+}
+
+/**
+ * One round of the reference heap kernel running 4096 self-rescheduling
+ * actors at random deltas, in events/sec. The simulator never runs
+ * this code, so a simulator change cannot move it, while a slower or
+ * busier host slows it as much as the cell timed next to it. (A
+ * 64-actor loop, whose heap fits in L1, tracked the simulator less
+ * closely: on a shared 4-core host its ratio spread about 3x wider
+ * across runs.)
+ */
+double
+referenceOpsPerSec()
+{
+    constexpr unsigned NumActors = 4096;
+    constexpr std::uint64_t Fires = 400000;
+    ref::RefEventQueue eq;
+    Rng rng(42);
+    std::uint64_t fires = 0;
+    std::vector<std::unique_ptr<ref::RefEventFunctionWrapper>> actors;
+    for (unsigned i = 0; i < NumActors; ++i) {
+        actors.push_back(std::make_unique<ref::RefEventFunctionWrapper>(
+            [&, i] {
+                if (++fires < Fires)
+                    eq.schedule(actors[i].get(),
+                                eq.curTick() + 1 + rng.below(256));
+            },
+            "actor"));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (unsigned i = 0; i < NumActors; ++i)
+        eq.schedule(actors[i].get(), i % 8);
+    eq.run();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    return static_cast<double>(fires) / secs;
 }
 
 ScaleCell
@@ -66,14 +115,18 @@ runScaleCell(unsigned cores, std::uint64_t refs_per_thread,
     spec.base.topology.l2s = cell.l2s;
     spec.base.topology.l3Slices = cell.l2s;
     // The retry-rate switch scaled to short synthetic traces, as in
-    // every other bench (see bench/support.hh).
+    // `cmpcache run` and scripts/paper.py.
     spec.base.policy.retry.windowCycles = 250000;
     spec.base.policy.retry.threshold = 100;
 
     // Best-of-N: the smallest machines finish in tens of
     // milliseconds, so a single run is too noisy to gate on. Results
-    // are deterministic across repeats; only the timing varies.
+    // are deterministic across repeats; only the timing varies. Each
+    // repeat is paired with a reference round timed just before it,
+    // so host speed shifts between repeats cancel in the ratio.
+    std::vector<double> ratios;
     for (unsigned rep = 0; rep < repeats; ++rep) {
+        const double ref_ops = referenceOpsPerSec();
         const auto results = runSweep(spec, 1);
         if (results.size() != 1 || !results[0].ok) {
             std::cerr << "scale cell " << cores << "c failed: "
@@ -82,9 +135,12 @@ runScaleCell(unsigned cores, std::uint64_t refs_per_thread,
                       << "\n";
             std::exit(1);
         }
+        ratios.push_back(results[0].eventsPerSec / ref_ops);
         if (rep == 0 || results[0].eventsPerSec > cell.r.eventsPerSec)
             cell.r = results[0];
     }
+    std::sort(ratios.begin(), ratios.end());
+    cell.speedup = ratios[ratios.size() / 2];
     return cell;
 }
 
@@ -101,6 +157,7 @@ writeJson(std::ostream &os, std::uint64_t refs,
         const auto &res = c.r.result;
         os << "    {\"name\": \"scale-" << c.cores << "c\""
            << ", \"guard\": " << (i == 0 ? "true" : "false")
+           << ", \"metric\": \"speedup\""
            << ", \"cores\": " << c.cores << ", \"l2s\": " << c.l2s
            << ", \"threads\": " << c.cores
            << ", \"execTime\": " << res.execTime
@@ -108,6 +165,7 @@ writeJson(std::ostream &os, std::uint64_t refs,
            << ", \"wallSeconds\": " << jsonNum(c.r.wallSeconds)
            << ", \"eventsPerSec\": " << jsonNum(c.r.eventsPerSec)
            << ", \"currentOpsPerSec\": " << jsonNum(c.r.eventsPerSec)
+           << ", \"speedup\": " << jsonNum(c.speedup)
            << ", \"busRetries\": " << res.busRetries
            << ", \"l3Retries\": " << res.l3Retries
            << ", \"wbSnarfedPct\": " << jsonNum(res.wbSnarfedPct)
@@ -131,7 +189,7 @@ main(int argc, char **argv)
     using namespace cmpcache;
 
     std::string out;
-    unsigned repeats = 3;
+    unsigned repeats = 5;
     std::vector<unsigned> core_counts = {8, 16, 32, 64};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -156,7 +214,10 @@ main(int argc, char **argv)
         }
     }
 
-    const std::uint64_t refs = benchRecordsPerThread(8000);
+    const std::uint64_t refs = 8000;
+    // Untimed round: lets the core reach its steady clock before the
+    // first (guarded) cell.
+    referenceOpsPerSec();
     std::vector<ScaleCell> cells;
     for (unsigned cores : core_counts) {
         if (cores % 4 != 0 || cores == 0) {

@@ -58,9 +58,8 @@ main(int argc, char **argv)
     const CliArgs args(argc, argv);
     const std::string which = args.getString("workload", "all");
     const std::string policy = args.getString("policy", "baseline");
-    const auto refs = static_cast<std::uint64_t>(
-        args.getInt("refs", static_cast<std::int64_t>(
-                                benchRecordsPerThread(40000))));
+    const auto refs =
+        static_cast<std::uint64_t>(args.getInt("refs", 40000));
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
 
     SystemConfig cfg;

@@ -15,7 +15,9 @@ baseline pair may set "metric": "speedup" to gate on the same-run
 legacy/current ratio instead -- every hotpath pair does, because its
 contract is "the current implementation beats the legacy one on this
 machine", and absolute Mops/s drifts with the host and its
-noisy-neighbor load, which the same-run ratio cancels out.
+noisy-neighbor load, which the same-run ratio cancels out. The scale
+bench's 8-core cell gates the same way, on its events/sec over a
+reference-kernel loop timed in the same process.
 
 Exit codes: 0 pass, 1 regression (or broken inputs), 77 skipped.
 Set CMPCACHE_SKIP_BENCH=1 to skip (slow or contended CI machines);

@@ -4,7 +4,9 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh unit       # unit tests only
-#   scripts/check.sh e2e        # end-to-end (sweep) tests only, then
+#   scripts/check.sh e2e        # end-to-end (sweep) tests only, incl.
+#                               # the scripts/paper.py smoke (every
+#                               # table and figure on tiny traces), then
 #                               # CLI smoke: unknown and removed options
 #                               # must be rejected
 #   scripts/check.sh sanitize   # ASan+UBSan build, sanitize-labelled tests
@@ -31,7 +33,9 @@
 #   scripts/check.sh scale      # big-machine smoke: a 32-core sweep
 #                               # with invariant checking, a 64-core
 #                               # watchdogged run on every layout, and
-#                               # the BENCH_scale.json events/sec guard
+#                               # the BENCH_scale.json guard (8-core
+#                               # events/sec over a same-run
+#                               # reference-kernel loop)
 #   scripts/check.sh chaos      # conformance-oracle fuzzing smoke: a
 #                               # clean seeded campaign must pass, and
 #                               # a campaign with the wb_blind_spot
@@ -186,13 +190,6 @@ if [ "$SELECT" = scale ]; then
             exit 1
         fi
     done
-    # The legacy machine-shape aliases still describe a runnable
-    # machine (with deprecation warnings).
-    run_phase scale-legacy-keys \
-        ./build/src/cmpcache sweep \
-        --workloads=thrash --policies=baseline --refs=1000 \
-        --out="$smoke_dir/legacy.json" --quiet \
-        num_l2s=2 threads_per_l2=2
     if [ -z "${CMPCACHE_SKIP_BENCH:-}" ]; then
         run_phase bench-scale python3 scripts/bench_guard.py \
             --bench build/bench/scale \

@@ -1,99 +1,22 @@
 #!/usr/bin/env python3
-"""Turn cmpcache bench output into per-figure CSV files (and, when
-gnuplot is installed, PNG plots mirroring the paper's figures).
+"""Plot per-cell timelines from a sampled sweep results file.
 
 Usage:
-    python3 scripts/plot_figures.py bench_output.txt [-o outdir]
     python3 scripts/plot_figures.py --timeline results.json [-o outdir]
 
-The bench binaries print self-describing tables; this script extracts
-the Figure 2/3/5/7 pressure sweeps and the Figure 4/6 size sweeps.
-
-With --timeline, the input is instead a sampled sweep results file
-(`cmpcache sweep --sample-every=N`); each cell's embedded time series
-becomes a CSV plus a retry-rate / WBHT-gate timeline plot (the
-docs/observability.md worked example).
+The input is a sampled sweep results file (`cmpcache sweep
+--sample-every=N`); each cell's embedded time series becomes a CSV
+plus, when gnuplot is installed, a retry-rate / WBHT-gate timeline
+plot (the docs/observability.md worked example). The paper's tables
+and figures come from scripts/paper.py.
 """
 
 import argparse
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
-
-WORKLOADS = ["CPW2", "NotesBench", "TP", "Trade2"]
-
-SWEEPS = {
-    "fig2": "Figure 2",
-    "fig3": "Figure 3",
-    "fig5": "Figure 5",
-    "fig7": "Figure 7",
-}
-SIZES = {
-    "fig4": "Figure 4",
-    "fig6": "Figure 6",
-}
-
-
-def split_sections(text):
-    """Map bench name -> section text."""
-    sections = {}
-    current = None
-    for line in text.splitlines():
-        m = re.match(r"[#=]+ +(?:.*/)?(\w+)$", line)
-        if m:
-            current = m.group(1)
-            sections[current] = []
-        elif current:
-            sections[current].append(line)
-    return {k: "\n".join(v) for k, v in sections.items()}
-
-
-def parse_table(section, first_col):
-    """Parse 'first_col CPW2 NotesBench TP Trade2' numeric rows."""
-    rows = []
-    for line in section.splitlines():
-        parts = line.split()
-        if len(parts) != 5:
-            continue
-        try:
-            key = float(parts[0])
-            vals = [float(p) for p in parts[1:]]
-        except ValueError:
-            continue
-        rows.append((key, vals))
-    return rows
-
-
-def write_csv(path, header, rows):
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for key, vals in rows:
-            f.write(",".join([str(key)] + [str(v) for v in vals])
-                    + "\n")
-    print(f"wrote {path} ({len(rows)} rows)")
-
-
-def gnuplot(csv_path, png_path, title, xlabel, ylabel, logx=False):
-    if not shutil.which("gnuplot"):
-        return
-    cols = ", ".join(
-        f"'{csv_path}' using 1:{i + 2} with linespoints "
-        f"title '{w}'" for i, w in enumerate(WORKLOADS))
-    script = (
-        "set datafile separator ',';"
-        "set key autotitle columnhead outside;"
-        f"set title '{title}'; set xlabel '{xlabel}';"
-        f"set ylabel '{ylabel}';"
-        + ("set logscale x 2;" if logx else "")
-        + f"set term pngcairo size 800,500; set output '{png_path}';"
-        f"plot {cols}")
-    subprocess.run(["gnuplot", "-e", script], check=False)
-    if os.path.exists(png_path):
-        print(f"wrote {png_path}")
-
 
 # Channels plotted by --timeline when present in a cell's series:
 # (channel, label, 1 = cumulative counter -> plot per-sample delta)
@@ -168,53 +91,16 @@ def plot_timelines(path, outdir):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("bench_output",
-                    help="bench text output, or a sampled sweep "
-                         "results JSON with --timeline")
+    ap.add_argument("results",
+                    help="sampled sweep results JSON (--sample-every=N)")
     ap.add_argument("-o", "--outdir", default="figures")
     ap.add_argument("--timeline", action="store_true",
-                    help="input is a sweep results file with a "
-                         "timeSeries block; plot per-cell timelines")
+                    help="plot per-cell timelines (the only mode)")
     args = ap.parse_args()
-
-    if args.timeline:
-        return plot_timelines(args.bench_output, args.outdir)
-
-    with open(args.bench_output) as f:
-        sections = split_sections(f.read())
-    os.makedirs(args.outdir, exist_ok=True)
-
-    emitted = 0
-    for name, title in SWEEPS.items():
-        key = next((k for k in sections if k.startswith(name)), None)
-        if not key:
-            continue
-        rows = parse_table(sections[key], "outstanding")
-        if not rows:
-            continue
-        csv = os.path.join(args.outdir, f"{name}.csv")
-        write_csv(csv, ["outstanding"] + WORKLOADS, rows)
-        gnuplot(csv, os.path.join(args.outdir, f"{name}.png"), title,
-                "max outstanding loads/thread", "% improvement")
-        emitted += 1
-
-    for name, title in SIZES.items():
-        key = next((k for k in sections if k.startswith(name)), None)
-        if not key:
-            continue
-        rows = parse_table(sections[key], "entries")
-        if not rows:
-            continue
-        csv = os.path.join(args.outdir, f"{name}.csv")
-        write_csv(csv, ["entries"] + WORKLOADS, rows)
-        gnuplot(csv, os.path.join(args.outdir, f"{name}.png"), title,
-                "table entries", "normalized runtime", logx=True)
-        emitted += 1
-
-    if emitted == 0:
-        print("no recognizable figure sections found", file=sys.stderr)
-        return 1
-    return 0
+    if not args.timeline:
+        ap.error("only --timeline is supported; the paper's tables and "
+                 "figures come from scripts/paper.py")
+    return plot_timelines(args.results, args.outdir)
 
 
 if __name__ == "__main__":

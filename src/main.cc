@@ -87,8 +87,7 @@ usage()
         "run options:\n"
         "  --workload=NAME       synthetic workload (default TP)\n"
         "  --trace=FILE          trace file instead of a workload\n"
-        "  --refs=N              references/thread (default 30000,\n"
-        "                        or CMPCACHE_REFS)\n"
+        "  --refs=N              references/thread (default 30000)\n"
         "  --seed=N              workload seed (default 1)\n"
         "  --l1-filter           filter the input through private L1s\n"
         "  --stats[=FILE]        dump all statistics as text\n"
@@ -139,8 +138,7 @@ usage()
         "  --policies=a,b,...    default: baseline,wbht,snarf,"
         "combined\n"
         "  --outstanding=N,M     default: 6\n"
-        "  --refs=N              references/thread (default 20000,\n"
-        "                        or CMPCACHE_REFS)\n"
+        "  --refs=N              references/thread (default 20000)\n"
         "  --seed=N              workload seed (default 1)\n"
         "  --threads=N           cells run in parallel (default:\n"
         "                        hardware); any N gives bit-identical\n"
@@ -335,9 +333,8 @@ sweepMain(const CliArgs &args)
                       o, "'");
         spec.outstanding.push_back(static_cast<unsigned>(v));
     }
-    spec.recordsPerThread = static_cast<std::uint64_t>(args.getInt(
-        "refs",
-        static_cast<std::int64_t>(benchRecordsPerThread(20000))));
+    spec.recordsPerThread =
+        static_cast<std::uint64_t>(args.getInt("refs", 20000));
     spec.seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     spec.checkCoherence = args.getBool("check-coherence", false);
@@ -520,10 +517,7 @@ serveMain(const CliArgs &args)
     if (!workload.empty()) {
         params = sweepWorkloadByName(
             workload,
-            static_cast<std::uint64_t>(args.getInt(
-                "refs",
-                static_cast<std::int64_t>(
-                    benchRecordsPerThread(20000)))),
+            static_cast<std::uint64_t>(args.getInt("refs", 20000)),
             static_cast<std::uint64_t>(args.getInt("seed", 1)));
         for (const auto &[key, value] : wl_overrides)
             applyWorkloadOption(*params, key, value);
@@ -635,9 +629,8 @@ runMain(const CliArgs &args)
     if (args.has("trace")) {
         input_name = args.getString("trace", "");
     } else {
-        const auto refs = static_cast<std::uint64_t>(args.getInt(
-            "refs",
-            static_cast<std::int64_t>(benchRecordsPerThread(30000))));
+        const auto refs =
+            static_cast<std::uint64_t>(args.getInt("refs", 30000));
         auto wl = sweepWorkloadByName(
             args.getString("workload", "TP"), refs,
             static_cast<std::uint64_t>(args.getInt("seed", 1)));

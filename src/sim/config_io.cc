@@ -142,10 +142,8 @@ struct KeyHandler
     }
 
 /**
- * Canonical topology.* keys: checked setters that reject values a
- * 32-bit shape field would silently wrap, and record that the
- * canonical style is in use so mixing it with the deprecated aliases
- * below surfaces as a named validation error.
+ * topology.* keys: checked setters that reject values a 32-bit shape
+ * field would silently wrap.
  */
 #define TOPO_U32(field)                                                 \
     KeyHandler                                                          \
@@ -162,41 +160,11 @@ struct KeyHandler
             }                                                           \
             c.topology.field =                                          \
                 static_cast<decltype(c.topology.field)>(*r);            \
-            c.topology.canonicalKeysUsed = true;                        \
             return {};                                                  \
         },                                                              \
             [](const SystemConfig &c) {                                 \
-                /* Save the resolved shape so a config built from    */ \
-                /* legacy aliases round-trips as canonical keys.     */ \
-                return cstr(c.topology.resolved().field);               \
+                return cstr(c.topology.field);                          \
             }                                                           \
-    }
-
-/**
- * Deprecated machine-shape aliases. They live in their own map (not
- * handlers()) so saveConfig never writes them back out; parsing one
- * parks its value on the topology's legacy fields -- folded in by
- * TopologyParams::resolved() -- and warns, naming the replacement.
- */
-#define LEGACY_U32(field, replacement)                                  \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            const auto r = toU64(k, v);                                 \
-            if (!r)                                                     \
-                return r.error();                                       \
-            if (*r > 0xffffffffull) {                                   \
-                return configError(cstr("config key '", k,              \
-                                        "' value ", *r,                 \
-                                        " overflows 32 bits"));         \
-            }                                                           \
-            warn("config key '", k, "' is deprecated; use ",            \
-                 replacement);                                          \
-            c.topology.field = static_cast<unsigned>(*r);               \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &) { return std::string(); }          \
     }
 
 const std::map<std::string, KeyHandler> &
@@ -221,7 +189,6 @@ handlers()
                                 "hier_ring, got '", v, "'"));
                         }
                         c.topology.layout = l;
-                        c.topology.canonicalKeysUsed = true;
                         return {};
                     },
                     [](const SystemConfig &c) {
@@ -383,29 +350,11 @@ handlers()
     return h;
 }
 
-const std::map<std::string, KeyHandler> &
-legacyHandlers()
-{
-    static const std::map<std::string, KeyHandler> h = {
-        {"num_l2s", LEGACY_U32(legacyNumL2s, "topology.l2s (with "
-                               "topology.cores/topology.smt)")},
-        {"threads_per_l2",
-         LEGACY_U32(legacyThreadsPerL2,
-                    "topology.cores and topology.smt")},
-        {"ring.num_stops",
-         LEGACY_U32(legacyRingStops,
-                    "topology.l2s (stop count is derived)")},
-        {"l3.slices", LEGACY_U32(legacyL3Slices, "topology.l3_slices")},
-    };
-    return h;
-}
-
 #undef U64_KEY
 #undef BOOL_KEY
 #undef DBL_KEY
 #undef STR_KEY
 #undef TOPO_U32
-#undef LEGACY_U32
 
 } // namespace
 
@@ -416,9 +365,6 @@ applyConfigOption(SystemConfig &cfg, const std::string &key,
     const auto it = handlers().find(key);
     if (it != handlers().end())
         return it->second.set(cfg, key, value);
-    const auto lit = legacyHandlers().find(key);
-    if (lit != legacyHandlers().end())
-        return lit->second.set(cfg, key, value);
     if (key == "run.threads")
         return configError(removedRunThreadsMessage());
     return configError(cstr("unknown config key '", key, "'"));

@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "common/cli.hh"
 #include "common/logging.hh"
 #include "sim/simulation.hh"
 #include "stats/sink.hh"
@@ -115,13 +114,6 @@ runExperiment(const SystemConfig &cfg, const WorkloadParams &workload,
     if (inspect)
         inspect(sim.system());
     return r;
-}
-
-std::uint64_t
-benchRecordsPerThread(std::uint64_t def)
-{
-    const auto v = CliArgs::envInt("CMPCACHE_REFS", 0);
-    return v > 0 ? static_cast<std::uint64_t>(v) : def;
 }
 
 } // namespace cmpcache

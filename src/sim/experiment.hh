@@ -77,13 +77,6 @@ runExperiment(const SystemConfig &cfg, const WorkloadParams &workload,
 ExperimentResult collectResult(CmpSystem &sys, Tick exec_time,
                                const std::string &workload_name);
 
-/**
- * Records-per-thread default for bench binaries, overridable via the
- * CMPCACHE_REFS environment variable (total references scale
- * linearly with it).
- */
-std::uint64_t benchRecordsPerThread(std::uint64_t def = 60000);
-
 } // namespace cmpcache
 
 #endif // CMPCACHE_SIM_EXPERIMENT_HH

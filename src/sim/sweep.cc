@@ -259,7 +259,7 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
                 r.seed = job.params.seed;
                 r.faultPlan = job.config.fault.plan;
                 r.faultSeed = job.config.fault.seed;
-                const TopologyParams shape = job.config.shape();
+                const TopologyParams &shape = job.config.topology;
                 r.topologySummary = cstr(
                     "cores=", shape.cores, " smt=", shape.smt,
                     " l2s=", shape.l2s, " layout=",

@@ -52,13 +52,7 @@ enum class RingLayout
 const char *toString(RingLayout layout);
 bool tryRingLayoutFromString(const std::string &s, RingLayout &out);
 
-/**
- * Raw topology knobs as configured (topology.* keys). A
- * TopologyParams may also carry values parked by the deprecated
- * legacy keys (num_l2s / threads_per_l2 / ring.num_stops /
- * l3.slices); resolved() folds those into the canonical fields.
- * Mixing legacy and canonical keys is a validation error.
- */
+/** Raw topology knobs as configured (topology.* keys). */
 struct TopologyParams
 {
     /** Physical cores (paper Table 3: 8). */
@@ -78,35 +72,10 @@ struct TopologyParams
      * (which is the total across slices). */
     std::uint64_t l3MbPerSlice = 0;
 
-    /**
-     * Deprecated-alias parking slots. The legacy config keys write
-     * here instead of the canonical fields so resolution stays
-     * order-independent; 0 means "not set". resolved() folds them in
-     * with the legacy defaults (threads_per_l2 = 4, SMT folded into
-     * threads-per-L2).
-     */
-    unsigned legacyNumL2s = 0;
-    unsigned legacyThreadsPerL2 = 0;
-    unsigned legacyRingStops = 0;
-    unsigned legacyL3Slices = 0;
-    /** Set by config_io when any canonical topology.* key is used;
-     * mixing styles is a named validation error. */
-    bool canonicalKeysUsed = false;
-
-    bool
-    legacyKeysUsed() const
-    {
-        return legacyNumL2s || legacyThreadsPerL2 || legacyRingStops
-               || legacyL3Slices;
-    }
-
-    /** Fold any legacy-alias values into the canonical fields. */
-    TopologyParams resolved() const;
-
-    /** Hardware threads (on resolved values). */
+    /** Hardware threads. */
     unsigned threads() const { return cores * smt; }
 
-    /** Threads sharing one L2 (on resolved values; 0-safe). */
+    /** Threads sharing one L2 (0-safe). */
     unsigned
     threadsPerL2() const
     {
@@ -124,9 +93,9 @@ struct TopologyParams
 
 /**
  * Full consistency check. Each returned string names the offending
- * topology.* (or legacy) config key. Empty means valid.
+ * topology.* config key. Empty means valid.
  */
-std::vector<std::string> validateTopology(const TopologyParams &raw);
+std::vector<std::string> validateTopology(const TopologyParams &p);
 
 /**
  * The validated machine shape. Construction only succeeds on a
@@ -143,7 +112,7 @@ class CmpTopology
     /** Build-or-die convenience for tests and benches. */
     static CmpTopology flat(unsigned num_l2s, unsigned threads_per_l2);
 
-    /** The resolved (legacy-folded) parameters. */
+    /** The validated parameters. */
     const TopologyParams &params() const { return p_; }
     RingLayout layout() const { return p_.layout; }
 

@@ -182,6 +182,20 @@ TEST(ConfigIo, RemovedKernelKeysAreUnknown)
         EXPECT_EQ(std::count(keys.begin(), keys.end(), key), 0) << key;
 }
 
+TEST(ConfigIo, RemovedShapeAliasesAreUnknownKeys)
+{
+    for (const char *key :
+         {"num_l2s", "threads_per_l2", "ring.num_stops", "l3.slices"}) {
+        SystemConfig cfg;
+        const auto r = applyConfigOption(cfg, key, "2");
+        ASSERT_FALSE(r.ok()) << key;
+        EXPECT_NE(r.error().message.find("unknown config key"),
+                  std::string::npos)
+            << r.error().message;
+        EXPECT_EQ(cfg.numL2s(), 4u) << key;
+    }
+}
+
 TEST(ConfigIo, KeyListNonEmptyAndSorted)
 {
     const auto &keys = configKeys();
@@ -238,7 +252,6 @@ TEST(ConfigIo, TopologyKeysApply)
     EXPECT_EQ(cfg.topology.rings, 4u);
     EXPECT_EQ(cfg.topology.l2KbPerL2, 256u);
     EXPECT_EQ(cfg.topology.l3MbPerSlice, 2u);
-    EXPECT_TRUE(cfg.topology.canonicalKeysUsed);
     EXPECT_TRUE(cfg.validationErrors().empty());
 }
 
@@ -254,8 +267,8 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     std::stringstream ss;
     saveConfig(a, ss);
     const std::string text = ss.str();
-    // The canonical keys are written; the deprecated aliases never
-    // are.
+    // Only topology.* keys describe the shape; the removed aliases
+    // are never written.
     EXPECT_NE(text.find("topology.cores = 32"), std::string::npos);
     EXPECT_NE(text.find("topology.layout = dual_ring"),
               std::string::npos);
@@ -272,62 +285,6 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     EXPECT_EQ(b.topology.l2s, 8u);
     EXPECT_EQ(b.topology.l3Slices, 8u);
     EXPECT_EQ(b.topology.layout, RingLayout::DualRing);
-}
-
-TEST(ConfigIo, LegacyShapeKeysParkAndWarn)
-{
-    SystemConfig cfg;
-    mustApply(cfg, "num_l2s", "2");
-    mustApply(cfg, "threads_per_l2", "2");
-    mustApply(cfg, "ring.num_stops", "4");
-    mustApply(cfg, "l3.slices", "2");
-    // Values park on the legacy fields; the canonical fields stay
-    // untouched until resolved() folds them in.
-    EXPECT_EQ(cfg.topology.legacyNumL2s, 2u);
-    EXPECT_EQ(cfg.topology.legacyThreadsPerL2, 2u);
-    EXPECT_EQ(cfg.topology.legacyRingStops, 4u);
-    EXPECT_EQ(cfg.topology.legacyL3Slices, 2u);
-    EXPECT_FALSE(cfg.topology.canonicalKeysUsed);
-    EXPECT_EQ(cfg.topology.cores, 8u);
-    EXPECT_EQ(cfg.numL2s(), 2u);
-    EXPECT_EQ(cfg.threadsPerL2(), 2u);
-    EXPECT_EQ(cfg.numThreads(), 4u);
-    EXPECT_TRUE(cfg.validationErrors().empty());
-}
-
-TEST(ConfigIo, LegacyConfigSavesAsCanonicalKeys)
-{
-    SystemConfig a;
-    mustApply(a, "num_l2s", "2");
-    mustApply(a, "threads_per_l2", "2");
-
-    std::stringstream ss;
-    saveConfig(a, ss);
-
-    SystemConfig b;
-    const auto r = loadConfig(b, ss);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    // The save wrote the resolved shape under canonical keys, so the
-    // reload describes the same 4-thread machine without aliases.
-    EXPECT_EQ(b.topology.legacyNumL2s, 0u);
-    EXPECT_EQ(b.numL2s(), 2u);
-    EXPECT_EQ(b.numThreads(), 4u);
-    EXPECT_TRUE(b.validationErrors().empty());
-}
-
-TEST(ConfigIo, MixingLegacyAndCanonicalFailsValidation)
-{
-    SystemConfig cfg;
-    mustApply(cfg, "num_l2s", "2");
-    mustApply(cfg, "topology.cores", "8");
-    const auto errs = cfg.validationErrors();
-    ASSERT_FALSE(errs.empty());
-    bool found = false;
-    for (const auto &e : errs)
-        found = found
-                || e.find("conflict with canonical topology.* keys")
-                       != std::string::npos;
-    EXPECT_TRUE(found);
 }
 
 TEST(ConfigIo, TopologyLayoutRejectsUnknownNames)

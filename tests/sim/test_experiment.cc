@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/experiment.hh"
@@ -108,15 +107,6 @@ TEST(Experiment, HigherPressureRaisesWbVolumeOrRetries)
     const auto b = runExperiment(hi, smallWorkload());
     // More overlap -> more concurrent misses -> runtime shrinks.
     EXPECT_LT(b.execTime, a.execTime);
-}
-
-TEST(Experiment, BenchRecordsEnvOverride)
-{
-    ::unsetenv("CMPCACHE_REFS");
-    EXPECT_EQ(benchRecordsPerThread(1234), 1234u);
-    ::setenv("CMPCACHE_REFS", "777", 1);
-    EXPECT_EQ(benchRecordsPerThread(1234), 777u);
-    ::unsetenv("CMPCACHE_REFS");
 }
 
 TEST(Experiment, ThreadMismatchThrowsConfigError)

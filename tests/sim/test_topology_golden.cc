@@ -6,8 +6,8 @@
  * simulator (the CLI's `sweep --workloads=thrash
  * --policies=baseline,combined --refs=2000` with and without
  * --sample-every=5000). The default topology.* configuration must
- * reproduce them byte for byte, also when the machine shape is
- * described with the deprecated legacy keys.
+ * reproduce them byte for byte, also when the same machine is
+ * described as a flat 4 x 4 single-SMT shape.
  */
 
 #include <gtest/gtest.h>
@@ -94,14 +94,13 @@ TEST(TopologyGolden, SampledRunMatchesSeedOutput)
     expectIdentical(runToJson(spec), golden("sampled_rt0.json"));
 }
 
-TEST(TopologyGolden, LegacyKeysDescribeTheSameMachine)
+TEST(TopologyGolden, FlatShapeDescribesTheSameMachine)
 {
-    // The legacy idiom (4 L2s x 4 threads, no SMT axis) and the
-    // canonical default (8 cores x 2-way SMT over 4 L2s) resolve to
-    // the same 16-thread machine and must produce identical results.
+    // The flat idiom (4 L2s x 4 threads, no SMT axis) and the
+    // default (8 cores x 2-way SMT over 4 L2s) are the same
+    // 16-thread machine and must produce identical results.
     SweepSpec spec = goldenSpec();
-    spec.base.topology.legacyNumL2s = 4;
-    spec.base.topology.legacyThreadsPerL2 = 4;
+    spec.base.topology = TopologyParams::flat(4, 4);
     expectIdentical(runToJson(spec), golden("plain_rt0.json"));
 }
 
@@ -112,6 +111,5 @@ TEST(TopologyGolden, ExplicitCanonicalKeysMatchDefaults)
     spec.base.topology.smt = 2;
     spec.base.topology.l2s = 4;
     spec.base.topology.l3Slices = 4;
-    spec.base.topology.canonicalKeysUsed = true;
     expectIdentical(runToJson(spec), golden("plain_rt0.json"));
 }
