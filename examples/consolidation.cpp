@@ -35,18 +35,16 @@ splitMix(const std::string &mix)
     return out;
 }
 
-/** Bundle where L2 group g's threads run workload names[g]. */
+/** Bundle where L2 group g's threads run workload groups[g]. */
 TraceBundle
-mixedBundle(const std::vector<std::string> &names, std::uint64_t refs,
-            std::uint64_t seed, const SystemConfig &cfg)
+mixedBundle(const std::vector<SyntheticWorkload> &groups,
+            const SystemConfig &cfg)
 {
     TraceBundle bundle;
     for (unsigned t = 0; t < cfg.numThreads(); ++t) {
-        const auto &name = names[t / cfg.threadsPerL2()];
-        auto params = workloads::byName(name, refs, seed);
+        const auto &group = groups[t / cfg.threadsPerL2()];
         bundle.perThread.push_back(
-            std::make_unique<WorkloadThreadSource>(
-                params, static_cast<ThreadId>(t)));
+            group.makeSource(static_cast<ThreadId>(t)));
     }
     return bundle;
 }
@@ -69,8 +67,11 @@ run(const std::vector<std::string> &names, std::uint64_t refs,
     cfg.policy.retry.threshold = 100;
     cfg.cpu.maxOutstanding = 6;
 
-    CmpSystem sys(cfg, mixedBundle(names, refs, 1, cfg));
-    sys.functionalWarmup(mixedBundle(names, refs, 1, cfg));
+    std::vector<SyntheticWorkload> groups;
+    for (const auto &name : names)
+        groups.emplace_back(workloads::byName(name, refs, 1));
+    CmpSystem sys(cfg, mixedBundle(groups, cfg));
+    sys.functionalWarmup(mixedBundle(groups, cfg));
     sys.run();
 
     RunOut out;

@@ -6,12 +6,13 @@ Usage:
                              [-o OUTDIR]
 
 Runs one `cmpcache sweep` per distinct base configuration (25 sweeps,
-230 cells), prints Tables 1-5, Figures 2-7, the ablations and the
-extensions as text on stdout, and writes OUTDIR/fig{2..7}.csv (plus
-PNGs when gnuplot is installed). Every cell uses workload seed 1 and
-the retry switch scaled to short synthetic traces: a 250,000-cycle
-window with a threshold of 100, where the paper counts 2,000 retries
-per 1,000,000 cycles on multi-billion-cycle hardware traces.
+230 cells, run concurrently within one --threads budget), prints
+Tables 1-5, Figures 2-7, the ablations and the extensions as text on
+stdout, and writes OUTDIR/fig{2..7}.csv (plus PNGs when gnuplot is
+installed). Every cell uses workload seed 1 and the retry switch
+scaled to short synthetic traces: a 250,000-cycle window with a
+threshold of 100, where the paper counts 2,000 retries per 1,000,000
+cycles on multi-billion-cycle hardware traces.
 
 The sweep output is byte-identical for any --threads, so the tables
 depend only on --refs.
@@ -19,11 +20,13 @@ depend only on --refs.
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 WORKLOADS = ["CPW2", "NotesBench", "TP", "Trade2"]
@@ -34,32 +37,84 @@ BASE_ARGS = ["--seed=1", "retry.window=250000", "retry.threshold=100"]
 
 
 class Sweeps:
-    """Runs `cmpcache sweep` and indexes the cells of each run by
+    """Plans the `cmpcache sweep` runs, runs them concurrently within
+    one --threads budget, and indexes each run's cells by
     (workload, policy, outstanding)."""
 
     def __init__(self, cli, refs, threads, workdir):
         self.cli, self.refs, self.threads = cli, refs, threads
         self.workdir = workdir
-        self.runs = 0
+        self.plans = {}
+        self.results = {}
 
-    def run(self, policies, outstanding, overrides=(),
+    def add(self, name, policies, outstanding, overrides=(),
             workloads=WORKLOADS):
-        self.runs += 1
-        out = os.path.join(self.workdir, f"sweep{self.runs}.json")
-        cmd = [self.cli, "sweep", f"--refs={self.refs}",
-               f"--threads={self.threads}", f"--out={out}", "--quiet",
-               "--workloads=" + ",".join(workloads),
-               "--policies=" + ",".join(policies),
-               "--outstanding=" + ",".join(map(str, outstanding)),
-               *BASE_ARGS, *overrides]
-        print(f"paper.py: sweep {self.runs}: {' '.join(cmd[2:])}",
-              file=sys.stderr)
-        status = subprocess.run(cmd).returncode
-        if status != 0:
-            sys.exit(f"paper.py: sweep exited {status}: {' '.join(cmd)}")
-        with open(out) as f:
-            results = json.load(f)["results"]
-        return {(r["workload"], r["policy"], r["maxOutstanding"]): r
+        self.plans[name] = (policies, outstanding, overrides, workloads)
+
+    def __getitem__(self, name):
+        return self.results[name]
+
+    def run(self):
+        """Run every planned sweep, most cells first. A sweep's cells
+        are its cost estimate, and it gets a share of the budget in
+        proportion, at least one thread: the paper grid (about half
+        the cells) takes most threads while the small sweeps share the
+        rest, so no sweep's slowest cell leaves the other threads
+        idle. Results do not depend on the thread counts."""
+        def cells(plan):
+            policies, outstanding, _, workloads = plan
+            return len(policies) * len(outstanding) * len(workloads)
+
+        total = sum(map(cells, self.plans.values()))
+        order = sorted(self.plans, key=lambda n: cells(self.plans[n]),
+                       reverse=True)
+        free = self.threads
+        done = threading.Condition()
+        failed = []
+
+        def launch(cmd, threads):
+            nonlocal free
+            status = subprocess.run(cmd).returncode
+            with done:
+                if status != 0:
+                    failed.append(f"sweep exited {status}: "
+                                  + " ".join(cmd))
+                free += threads
+                done.notify()
+
+        workers = []
+        for index, name in enumerate(order, start=1):
+            plan = self.plans[name]
+            policies, outstanding, overrides, workloads = plan
+            threads = min(cells(plan), self.threads,
+                          math.ceil(self.threads * cells(plan) / total))
+            with done:
+                # After a failure, start nothing more.
+                done.wait_for(lambda: failed or free >= threads)
+                if failed:
+                    break
+                free -= threads
+            out = os.path.join(self.workdir, f"sweep{index}.json")
+            cmd = [self.cli, "sweep", f"--refs={self.refs}",
+                   f"--threads={threads}", f"--out={out}", "--quiet",
+                   "--workloads=" + ",".join(workloads),
+                   "--policies=" + ",".join(policies),
+                   "--outstanding=" + ",".join(map(str, outstanding)),
+                   *BASE_ARGS, *overrides]
+            print(f"paper.py: sweep {index}: {' '.join(cmd[2:])}",
+                  file=sys.stderr)
+            worker = threading.Thread(target=launch, args=(cmd, threads))
+            worker.start()
+            workers.append((name, out, worker))
+        for _, _, worker in workers:
+            worker.join()
+        if failed:
+            sys.exit(f"paper.py: {failed[0]}")
+        for name, out, _ in workers:
+            with open(out) as f:
+                results = json.load(f)["results"]
+            self.results[name] = {
+                (r["workload"], r["policy"], r["maxOutstanding"]): r
                 for r in results}
 
 
@@ -141,41 +196,74 @@ def table3(cli, workdir):
     def num(key):
         return int(cfg[key])
 
-    def row(name, ours, paper):
-        print(f"{name:<34}{ours:<26}{paper}")
-
-    row("parameter", "cmpcache default", "paper")
-    row("processors", f"{num('topology.cores')}, "
-        f"{num('topology.smt')}-way SMT", "8, 2-way SMT")
-    row("L2 caches", cfg["topology.l2s"], "4")
     l2_slices = num("l2.slices")
-    row("L2 size", f"{l2_slices} slices x "
-        f"{num('l2.size_bytes') // l2_slices // 1024} KB",
-        "4 slices, 512 KB each")
-    row("L2 associativity", f"{num('l2.assoc')}-way", "8-way")
-    row("L2 latency", f"{num('l2.hit_latency')} cycles", "20 cycles")
     l3_slices = num("topology.l3_slices")
-    row("L3 size", f"{l3_slices} slices x "
-        f"{num('l3.size_bytes') // l3_slices // 1024 // 1024} MB",
-        "4 slices, 4 MB each")
-    row("L3 associativity", f"{num('l3.assoc')}-way", "16-way")
-    row("line size", f"{num('l2.line_size')} B", "128 B")
-    row("ring", f"slot/{num('ring.addr_slot_cycles')} cycles, "
-        "bi-directional", "1:2 core speed, 32B-wide")
+    params = [
+        ("parameter", "cmpcache default", "paper"),
+        ("processors", f"{num('topology.cores')}, "
+         f"{num('topology.smt')}-way SMT", "8, 2-way SMT"),
+        ("L2 caches", cfg["topology.l2s"], "4"),
+        ("L2 size", f"{l2_slices} slices x "
+         f"{num('l2.size_bytes') // l2_slices // 1024} KB",
+         "4 slices, 512 KB each"),
+        ("L2 associativity", f"{num('l2.assoc')}-way", "8-way"),
+        ("L2 latency", f"{num('l2.hit_latency')} cycles", "20 cycles"),
+        ("L3 size", f"{l3_slices} slices x "
+         f"{num('l3.size_bytes') // l3_slices // 1024 // 1024} MB",
+         "4 slices, 4 MB each"),
+        ("L3 associativity", f"{num('l3.assoc')}-way", "16-way"),
+        ("line size", f"{num('l2.line_size')} B", "128 B"),
+        ("ring", f"slot/{num('ring.addr_slot_cycles')} cycles, "
+         "bi-directional", "1:2 core speed, 32B-wide")]
+    latencies = [("memory (from core)", f"{cycles} cycles", "431 cycles")]
+    # The widest value plus a two-space gap, so no value runs into the
+    # paper's column.
+    width = max(len(ours) for _, ours, _ in params + latencies) + 2
+
+    def rows(table):
+        for name, ours, paper in table:
+            print(f"{name:<34}{ours:<{width}}{paper}")
+
+    rows(params)
     print("\nComposed contention-free latencies:")
-    row("memory (from core)", f"{cycles} cycles", "431 cycles")
+    rows(latencies)
     print("\n(L2-to-L2 transfer 77 cycles and L3 167 cycles are composed "
           "from the same\n ring parameters; see "
           "tests/sim/test_cmp_system.cc timing checks.)")
 
 
-def report(sweeps, outdir):
-    cli = sweeps.cli
+def plan(sweeps):
+    """Every sweep the report reads, by name."""
     # One grid serves Figures 2/3/5/7 and Tables 1/2/4/5, and holds
     # the baseline every other comparison divides by. The reuse
     # tracker only adds Table 2's wbReused* fields.
-    grid = sweeps.run(["baseline", "wbht", "wbht-global", "snarf",
-                       "combined"], PRESSURES, ["reuse_tracker=true"])
+    sweeps.add("grid", ["baseline", "wbht", "wbht-global", "snarf",
+                        "combined"], PRESSURES, ["reuse_tracker=true"])
+    for policy in ("wbht", "snarf"):
+        for n in TABLE_SIZES:
+            if n != DEFAULT_TABLE:
+                sweeps.add((policy, n), [policy], [6],
+                           [f"{policy}.entries={n}"])
+    sweeps.add("always", ["wbht"], [1, 6], ["use_retry_switch=false"])
+    sweeps.add("inv_only", ["snarf"], [6], ["snarf_shared_victims=false"])
+    sweeps.add("lru", ["snarf"], [6], ["snarf_insert=lru"])
+    for thr in (25, 400, 1600):
+        sweeps.add(("threshold", thr), ["wbht"], [2, 6],
+                   [f"retry.threshold={thr}"], ["TP"])
+    sweeps.add("coarse", ["wbht"], [6],
+               ["wbht.entries=8192", "wbht.lines_per_entry=4"])
+    sweeps.add("informed", ["wbht"], [6],
+               ["wbht_informed_replacement=true"])
+    # The paper's machine composes its 167-cycle L3 load-to-use from a
+    # 112-cycle data array; 40 models an on-chip L3, 224 a far one.
+    for lat in (40, 224):
+        sweeps.add(("latency", lat), ["baseline", "wbht", "snarf"], [6],
+                   [f"l3.access_latency={lat}"])
+
+
+def report(sweeps, outdir):
+    cli = sweeps.cli
+    grid = sweeps["grid"]
 
     def cell(wl, policy, o=6):
         return grid[(wl, policy, o)]
@@ -183,14 +271,12 @@ def report(sweeps, outdir):
     def base(wl, o=6):
         return cell(wl, "baseline", o)
 
-    def at6(policy, *overrides):
-        """One policy at 6 loads/thread on a changed base, by workload."""
-        cells = sweeps.run([policy], [6], overrides)
-        return {wl: cells[(wl, policy, 6)] for wl in WORKLOADS}
+    def at6(name):
+        """A one-policy sweep at 6 loads/thread, by workload."""
+        return {wl: r for (wl, _, _), r in sweeps[name].items()}
 
     sizes = {policy: {n: {wl: cell(wl, policy) for wl in WORKLOADS}
-                      if n == DEFAULT_TABLE
-                      else at6(policy, f"{policy}.entries={n}")
+                      if n == DEFAULT_TABLE else at6((policy, n))
                       for n in TABLE_SIZES}
              for policy in ("wbht", "snarf")}
 
@@ -294,7 +380,7 @@ def report(sweeps, outdir):
 
     header("Ablations: retry switch, snarf victim choice, snarf "
            "insertion, switch threshold")
-    always = sweeps.run(["wbht"], [1, 6], ["use_retry_switch=false"])
+    always = sweeps["always"]
     print("--- 1. WBHT retry-rate switch (improvement %, low vs high "
           "pressure) ---")
     print(f"{'workload':<12}{'gated@1':>14}{'always@1':>14}"
@@ -305,14 +391,14 @@ def report(sweeps, outdir):
             for o in (1, 6) for cells in (grid, always)))
 
     print("\n--- 2. Snarf victim choice (improvement % @6) ---")
-    inv_only = at6("snarf", "snarf_shared_victims=false")
+    inv_only = at6("inv_only")
     print(f"{'workload':<12}{'invalid-only':>16}{'invalid+shared':>16}")
     for wl in WORKLOADS:
         print(f"{wl:<12}{improvement(base(wl), inv_only[wl]):16.2f}"
               f"{improvement(base(wl), cell(wl, 'snarf')):16.2f}")
 
     print("\n--- 3. Snarf insertion position (improvement % @6) ---")
-    lru = at6("snarf", "snarf_insert=lru")
+    lru = at6("lru")
     print(f"{'workload':<12}{'MRU':>12}{'LRU':>12}")
     for wl in WORKLOADS:
         print(f"{wl:<12}{improvement(base(wl), cell(wl, 'snarf')):12.2f}"
@@ -321,15 +407,14 @@ def report(sweeps, outdir):
     print("\n--- 4. Retry-switch threshold sweep (TP improvement %) ---")
     print(f"{'threshold':<12}{'@2':>10}{'@6':>10}")
     for thr in (25, 100, 400, 1600):
-        cells = grid if thr == 100 else sweeps.run(
-            ["wbht"], [2, 6], [f"retry.threshold={thr}"], ["TP"])
+        cells = grid if thr == 100 else sweeps[("threshold", thr)]
         print(f"{thr:<12}" + "".join(
             f"{improvement(base('TP', o), cells[('TP', 'wbht', o)]):10.2f}"
             for o in (2, 6)))
 
     header("Extensions: coarse WBHT entries, WBHT-informed replacement, "
            "L3 latency")
-    coarse = at6("wbht", "wbht.entries=8192", "wbht.lines_per_entry=4")
+    coarse = at6("coarse")
     print("--- 1. Coarse-grained WBHT entries (improvement % over "
           "baseline @6) ---")
     print(f"{'workload':<12}{'8K x 1-line':>14}{'8K x 4-line':>14}"
@@ -342,18 +427,14 @@ def report(sweeps, outdir):
 
     print("\n--- 2. WBHT-informed L2 replacement (improvement % over "
           "baseline @6) ---")
-    informed = at6("wbht", "wbht_informed_replacement=true")
+    informed = at6("informed")
     print(f"{'workload':<12}{'wbht':>14}{'wbht+informed':>18}")
     for wl in WORKLOADS:
         print(f"{wl:<12}{improvement(base(wl), cell(wl, 'wbht')):14.2f}"
               f"{improvement(base(wl), informed[wl]):18.2f}")
 
-    # The paper's machine composes its 167-cycle L3 load-to-use from a
-    # 112-cycle data array; 40 models an on-chip L3, 224 a far one.
-    latency = {112: grid}
-    for lat in (40, 224):
-        latency[lat] = sweeps.run(["baseline", "wbht", "snarf"], [6],
-                                  [f"l3.access_latency={lat}"])
+    latency = {112: grid, 40: sweeps[("latency", 40)],
+               224: sweeps[("latency", 224)]}
     for i, policy in enumerate(("wbht", "snarf"), start=3):
         print(f"\n--- {i}. L3 latency: {policy} improvement % over "
               "baseline @6 ---")
@@ -372,17 +453,21 @@ def main():
     ap.add_argument("--refs", type=int, default=60000,
                     help="references per thread (default 60000)")
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="sweep cells run in parallel (default: cores)")
+                    help="threads shared by the concurrent sweeps "
+                    "(default: cores)")
     ap.add_argument("--cli", default=str(repo / "build/src/cmpcache"),
                     help="cmpcache binary (default build/src/cmpcache)")
     ap.add_argument("-o", "--outdir", default="figures",
                     help="figure CSV/PNG directory (default figures)")
     args = ap.parse_args()
+    if args.threads < 1:
+        ap.error("--threads must be at least 1")
     os.makedirs(args.outdir, exist_ok=True)
-
     with tempfile.TemporaryDirectory() as workdir:
-        report(Sweeps(args.cli, args.refs, args.threads, workdir),
-               args.outdir)
+        sweeps = Sweeps(args.cli, args.refs, args.threads, workdir)
+        plan(sweeps)
+        sweeps.run()
+        report(sweeps, args.outdir)
     return 0
 
 

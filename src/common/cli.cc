@@ -1,7 +1,5 @@
 #include "common/cli.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace cmpcache
@@ -102,21 +100,6 @@ CliArgs::getBool(const std::string &key, bool def) const
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     cmp_fatal("option --", key, " expects a boolean, got '", v, "'");
-}
-
-std::int64_t
-CliArgs::envInt(const char *name, std::int64_t def)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return def;
-    try {
-        return std::stoll(v);
-    } catch (...) {
-        warn("environment variable ", name, "='", v,
-             "' is not an integer; using default ", def);
-        return def;
-    }
 }
 
 } // namespace cmpcache

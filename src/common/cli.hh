@@ -55,9 +55,6 @@ class CliArgs
      * has read yet, in sorted order. */
     std::vector<std::string> unread() const;
 
-    /** Environment-variable integer override helper. */
-    static std::int64_t envInt(const char *name, std::int64_t def);
-
   private:
     std::string subcommand_;
     std::map<std::string, std::string> options_;

@@ -137,17 +137,6 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent)
     : n_(n), exponent_(exponent)
 {
     cmp_assert(n > 0, "ZipfSampler population must be positive");
-    // Exact CDF construction, arithmetic unchanged from the original
-    // sorted-table sampler (the values must stay bit-identical).
-    std::vector<double> cdf(n);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        acc += 1.0 / std::pow(static_cast<double>(i + 1), exponent);
-        cdf[i] = acc;
-    }
-    for (auto &c : cdf)
-        c /= acc;
-
     // Pad to a complete tree (2^h - 1 slots) with +infinity
     // sentinels. Descents then always run to a virtual leaf and the
     // leaf index *is* the lower-bound rank, so no slot->rank table
@@ -156,10 +145,23 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent)
     // untouched; draws landing in the padding clamp to the last rank,
     // matching the old it == end() fallback.
     const std::size_t slots = std::bit_ceil(n + 1) - 1;
-    cdf.resize(slots, std::numeric_limits<double>::infinity());
-    eyt_.assign(slots + 1, 0.0);
+    std::vector<double> cdf(slots,
+                            std::numeric_limits<double>::infinity());
+
+    // Exact CDF construction, arithmetic unchanged from the original
+    // sorted-table sampler (the values must stay bit-identical).
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), exponent);
+        cdf[i] = acc;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        cdf[i] /= acc;
+
+    auto eyt = std::make_shared<std::vector<double>>(slots + 1, 0.0);
     std::size_t next = 0;
-    eytzingerize(cdf, next, 1, eyt_);
+    eytzingerize(cdf, next, 1, *eyt);
+    eyt_ = std::move(eyt);
 }
 
 std::size_t
@@ -177,15 +179,16 @@ ZipfSampler::sampleAt(double u) const
     // parallelism explicitly; the top levels are shared by every draw
     // and stay cache-hot, and the last four levels skip the prefetch
     // via a perfectly predicted branch.
-    const std::size_t slots = eyt_.size() - 1;
+    const double *eyt = eyt_->data();
+    const std::size_t slots = eyt_->size() - 1;
     std::size_t k = 1;
     while (k <= slots) {
         const std::size_t pf = k << 4;
         if (pf <= slots) {
-            __builtin_prefetch(&eyt_[pf]);
-            __builtin_prefetch(&eyt_[std::min(pf + 8, slots)]);
+            __builtin_prefetch(&eyt[pf]);
+            __builtin_prefetch(&eyt[std::min(pf + 8, slots)]);
         }
-        k = 2 * k + (eyt_[k] < u);
+        k = 2 * k + (eyt[k] < u);
     }
     // The tree is complete, so the virtual leaf offset is the
     // lower-bound rank; padding hits clamp to the last real rank.

@@ -11,6 +11,7 @@
 #define CMPCACHE_COMMON_RANDOM_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace cmpcache
@@ -60,6 +61,10 @@ class Rng
  * exact -- identical double comparisons against identical CDF values
  * -- so sampled ranks are bit-identical to std::lower_bound on the
  * sorted table.
+ *
+ * The table is immutable once built and held by a shared_ptr, so a
+ * copied sampler shares it: a workload builds each distribution once
+ * and hands copies to all of its threads.
  */
 class ZipfSampler
 {
@@ -89,8 +94,9 @@ class ZipfSampler
      * CDF values in Eytzinger order, 1-indexed (slot 0 unused),
      * padded with +infinity sentinels to a complete tree so a
      * descent's virtual-leaf offset is directly the sampled rank.
+     * Shared, read-only, by every copy of this sampler.
      */
-    std::vector<double> eyt_;
+    std::shared_ptr<const std::vector<double>> eyt_;
     double exponent_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -254,17 +253,21 @@ CmpSystem::functionalWarmup(TraceBundle traces)
     // structural invariant checker can skip them (the oracle taints
     // them the same way below).
     {
-        std::unordered_map<Addr, unsigned> seeded;
+        // Sized for every L2 line at once, so it never rehashes.
+        std::size_t lines = 0;
+        for (auto &l2 : l2s_)
+            lines += std::size_t{l2->tags().numSets()} * l2->tags().assoc();
+        FlatMap<unsigned> seeded(2 * lines);
         for (auto &l2 : l2s_) {
             l2->tags().forEach([&](const TagEntry &e) {
                 if (e.valid())
                     ++seeded[e.lineAddr];
             });
         }
-        for (const auto &[line, count] : seeded) {
+        seeded.forEach([&](Addr line, unsigned count) {
             if (count >= 2)
                 warmupApprox_.insert(line);
-        }
+        });
     }
 
     // Hand the warmed cache contents to the conformance oracle as

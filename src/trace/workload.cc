@@ -6,19 +6,15 @@
 namespace cmpcache
 {
 
-WorkloadThreadSource::WorkloadThreadSource(const WorkloadParams &params,
-                                           ThreadId tid)
-    : params_(params),
+WorkloadThreadSource::WorkloadThreadSource(
+    const SyntheticWorkload &workload, ThreadId tid)
+    : params_(workload.params_),
       tid_(tid),
-      rng_(params.seed * 0x9e3779b97f4a7c15ull + tid + 1),
-      privateSampler_(std::max<std::uint64_t>(params.privateLines, 1),
-                      params.privateZipf),
-      sharedSampler_(std::max<std::uint64_t>(params.sharedLines, 1),
-                     params.sharedZipf),
-      kernelSampler_(std::max<std::uint64_t>(params.kernelLines, 1),
-                     0.5)
+      rng_(params_.seed * 0x9e3779b97f4a7c15ull + tid + 1),
+      privateSampler_(workload.privateSampler_),
+      sharedSampler_(workload.sharedSampler_),
+      kernelSampler_(workload.kernelSampler_)
 {
-    cmp_assert(isPowerOf2(params_.lineSize), "line size must be 2^k");
     cmp_assert(tid < params_.numThreads, "tid out of range");
 }
 
@@ -105,16 +101,34 @@ WorkloadThreadSource::next(TraceRecord &rec)
     return true;
 }
 
+SyntheticWorkload::SyntheticWorkload(WorkloadParams params)
+    : params_(std::move(params)),
+      privateSampler_(std::max<std::uint64_t>(params_.privateLines, 1),
+                      params_.privateZipf),
+      sharedSampler_(std::max<std::uint64_t>(params_.sharedLines, 1),
+                     params_.sharedZipf),
+      kernelSampler_(std::max<std::uint64_t>(params_.kernelLines, 1),
+                     0.5)
+{
+    cmp_assert(isPowerOf2(params_.lineSize), "line size must be 2^k");
+}
+
+std::unique_ptr<WorkloadThreadSource>
+SyntheticWorkload::makeSource(ThreadId tid) const
+{
+    // The constructor is private to keep this the only way in, so
+    // std::make_unique cannot reach it.
+    return std::unique_ptr<WorkloadThreadSource>(
+        new WorkloadThreadSource(*this, tid));
+}
+
 TraceBundle
 SyntheticWorkload::makeBundle() const
 {
     TraceBundle bundle;
     bundle.perThread.reserve(params_.numThreads);
-    for (unsigned t = 0; t < params_.numThreads; ++t) {
-        bundle.perThread.push_back(
-            std::make_unique<WorkloadThreadSource>(
-                params_, static_cast<ThreadId>(t)));
-    }
+    for (unsigned t = 0; t < params_.numThreads; ++t)
+        bundle.perThread.push_back(makeSource(static_cast<ThreadId>(t)));
     return bundle;
 }
 

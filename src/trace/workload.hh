@@ -97,18 +97,24 @@ struct WorkloadParams
     double phaseShift = 0.25;      // fraction of hot set re-seated
 };
 
+class SyntheticWorkload;
+
 /**
  * Generates the stream for one hardware thread. Stateless across
  * threads: all cross-thread structure comes from shared region bases.
+ * Built only by SyntheticWorkload, which hands every thread copies of
+ * the same three samplers (the Zipf tables are shared, not rebuilt).
  */
 class WorkloadThreadSource : public TraceSource
 {
   public:
-    WorkloadThreadSource(const WorkloadParams &params, ThreadId tid);
-
     bool next(TraceRecord &rec) override;
 
   private:
+    friend class SyntheticWorkload;
+
+    WorkloadThreadSource(const SyntheticWorkload &workload, ThreadId tid);
+
     Addr lineToAddr(Addr region_base, std::uint64_t line) const;
 
     const WorkloadParams params_;
@@ -123,19 +129,19 @@ class WorkloadThreadSource : public TraceSource
 };
 
 /**
- * A named synthetic workload: bundles parameters and builds per-thread
- * sources.
+ * A named synthetic workload: bundles parameters, builds the three
+ * Zipf samplers once, and makes per-thread sources that share them.
  */
 class SyntheticWorkload
 {
   public:
-    explicit SyntheticWorkload(WorkloadParams params)
-        : params_(std::move(params))
-    {
-    }
+    explicit SyntheticWorkload(WorkloadParams params);
 
     const WorkloadParams &params() const { return params_; }
     const std::string &name() const { return params_.name; }
+
+    /** Build the source of thread @p tid (< params().numThreads). */
+    std::unique_ptr<WorkloadThreadSource> makeSource(ThreadId tid) const;
 
     /** Build sources for all threads. */
     TraceBundle makeBundle() const;
@@ -145,7 +151,12 @@ class SyntheticWorkload
     std::vector<TraceRecord> materialize() const;
 
   private:
+    friend class WorkloadThreadSource;
+
     WorkloadParams params_;
+    ZipfSampler privateSampler_;
+    ZipfSampler sharedSampler_;
+    ZipfSampler kernelSampler_;
 };
 
 /** Region base addresses used by the generator (also used in tests). */

@@ -79,16 +79,6 @@ TEST(CliDeath, MalformedIntegerIsFatal)
                 "expects an integer");
 }
 
-TEST(Cli, EnvIntFallsBackOnGarbage)
-{
-    ::setenv("CMPCACHE_TEST_ENVINT", "not-a-number", 1);
-    EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 5);
-    ::setenv("CMPCACHE_TEST_ENVINT", "12", 1);
-    EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 12);
-    ::unsetenv("CMPCACHE_TEST_ENVINT");
-    EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 5);
-}
-
 TEST(Cli, UnreadListsOnlyOptionsNeverQueried)
 {
     const auto a = parse({"--refs=100", "--thread=4", "--quiet", "pos"});

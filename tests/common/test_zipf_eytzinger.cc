@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/random.hh"
@@ -99,6 +100,35 @@ TEST(ZipfEytzinger, BoundaryDraws)
         EXPECT_EQ(eyt.sampleAt(top), sorted.sampleAt(top));
         EXPECT_EQ(eyt.sampleAt(1.0), n - 1);
         EXPECT_LT(eyt.sampleAt(top), n);
+    }
+}
+
+TEST(ZipfEytzinger, CopySharesTheOriginalsRanks)
+{
+    // Workloads hand every thread a copy of one sampler; a copy must
+    // invert exactly like the original, boundaries included, and keep
+    // doing so after the original is gone.
+    for (const std::size_t n : {1ul, 5ul, 513ul}) {
+        auto original = std::make_unique<ZipfSampler>(n, 0.9);
+        const ZipfSampler copy = *original;
+        SortedZipf sorted(n, 0.9);
+        std::vector<double> us = {0.0, std::nextafter(1.0, 0.0), 1.0};
+        for (const double c : sorted.cdf()) {
+            us.push_back(c);
+            us.push_back(std::nextafter(c, 0.0));
+            us.push_back(std::nextafter(c, 2.0));
+        }
+        for (const double u : us)
+            ASSERT_EQ(copy.sampleAt(u), original->sampleAt(u))
+                << "n=" << n << " u=" << u;
+        std::vector<std::size_t> before;
+        for (const double u : us)
+            before.push_back(copy.sampleAt(u));
+        original.reset();
+        for (std::size_t i = 0; i < us.size(); ++i)
+            ASSERT_EQ(copy.sampleAt(us[i]), before[i]);
+        EXPECT_EQ(copy.population(), n);
+        EXPECT_EQ(copy.exponent(), 0.9);
     }
 }
 

@@ -1,10 +1,13 @@
 /**
  * @file
- * Proof that the steady-state per-reference path is allocation-free:
- * global operator new/delete are replaced with counting versions, a
- * full CmpSystem is warmed up past every pool/table growth phase, and
- * a multi-thousand-tick simulation slice must then execute without a
- * single heap allocation.
+ * Allocation budgets, checked by replacing global operator new/delete
+ * with counting versions:
+ *  - the steady-state per-reference path is allocation-free: a full
+ *    CmpSystem is warmed up past every pool/table growth phase, and a
+ *    multi-thousand-tick simulation slice must then execute without a
+ *    single heap allocation;
+ *  - synthetic workload set-up builds each Zipf table once: every
+ *    per-thread source of every bundle shares the workload's tables.
  *
  * This binary must NOT be linked into the sanitizer suite: ASan
  * interposes operator new itself. (The test carries only the plain
@@ -13,24 +16,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "sim/cmp_system.hh"
+#include "trace/workload.hh"
+#include "trace/workloads_commercial.hh"
 
 namespace
 {
 
 bool g_counting = false;
 std::uint64_t g_allocs = 0;
+std::uint64_t g_bytes = 0;
 
 void *
 countedAlloc(std::size_t n)
 {
-    if (g_counting)
+    if (g_counting) {
         ++g_allocs;
+        g_bytes += n;
+    }
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -161,4 +171,51 @@ TEST(AllocFree, SteadyStateSliceAllocatesNothing)
     // Drain to completion so the run stays a valid simulation.
     sys.eventq().run();
     EXPECT_TRUE(sys.finished());
+}
+
+namespace
+{
+
+/** Bytes of one padded Eytzinger table over @p lines ranks. */
+std::uint64_t
+tableBytes(std::uint64_t lines)
+{
+    return std::bit_ceil(std::max<std::uint64_t>(lines, 1) + 1)
+           * sizeof(double);
+}
+
+} // namespace
+
+TEST(AllocFree, TwoBundlesShareOneSetOfZipfTables)
+{
+    // A 16-thread TP workload and the two bundles of one simulation
+    // (timed run and warmup pass) must allocate about three tables'
+    // worth, not one set per source (96 tables).
+    const auto params = workloads::tp(1000, 1);
+    ASSERT_EQ(params.numThreads, 16u);
+    const std::uint64_t tables = tableBytes(params.privateLines)
+                                 + tableBytes(params.sharedLines)
+                                 + tableBytes(params.kernelLines);
+
+    g_bytes = 0;
+    g_counting = true;
+    const SyntheticWorkload wl(params);
+    const std::uint64_t build_bytes = g_bytes;
+    g_bytes = 0;
+    {
+        auto run = wl.makeBundle();
+        auto warmup = wl.makeBundle();
+        EXPECT_EQ(run.numThreads(), 16u);
+        EXPECT_EQ(warmup.numThreads(), 16u);
+    }
+    const std::uint64_t bundle_bytes = g_bytes;
+    g_counting = false;
+
+    // Each table is built once, beside one sorted scratch copy.
+    EXPECT_LE(build_bytes, 2 * tables + 4096)
+        << "tables: " << tables << " bytes";
+    EXPECT_GE(build_bytes, tables);
+    // The 32 sources copy parameters and RNG state, not tables.
+    EXPECT_LT(bundle_bytes, tables / 8)
+        << "tables: " << tables << " bytes";
 }

@@ -32,10 +32,10 @@ tinyParams()
 TEST(Workload, ProducesExactlyRequestedRecords)
 {
     const auto p = tinyParams();
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
     std::uint64_t n = 0;
-    while (src.next(r))
+    while (src->next(r))
         ++n;
     EXPECT_EQ(n, p.recordsPerThread);
 }
@@ -43,13 +43,13 @@ TEST(Workload, ProducesExactlyRequestedRecords)
 TEST(Workload, DeterministicForSameSeed)
 {
     const auto p = tinyParams();
-    WorkloadThreadSource a(p, 1);
-    WorkloadThreadSource b(p, 1);
+    auto a = SyntheticWorkload(p).makeSource(1);
+    auto b = SyntheticWorkload(p).makeSource(1);
     TraceRecord ra;
     TraceRecord rb;
     for (int i = 0; i < 500; ++i) {
-        ASSERT_TRUE(a.next(ra));
-        ASSERT_TRUE(b.next(rb));
+        ASSERT_TRUE(a->next(ra));
+        ASSERT_TRUE(b->next(rb));
         EXPECT_TRUE(ra == rb);
     }
 }
@@ -57,14 +57,14 @@ TEST(Workload, DeterministicForSameSeed)
 TEST(Workload, ThreadsProduceDistinctStreams)
 {
     const auto p = tinyParams();
-    WorkloadThreadSource a(p, 0);
-    WorkloadThreadSource b(p, 1);
+    auto a = SyntheticWorkload(p).makeSource(0);
+    auto b = SyntheticWorkload(p).makeSource(1);
     TraceRecord ra;
     TraceRecord rb;
     int same = 0;
     for (int i = 0; i < 200; ++i) {
-        a.next(ra);
-        b.next(rb);
+        a->next(ra);
+        b->next(rb);
         same += ra.addr == rb.addr;
     }
     EXPECT_LT(same, 100);
@@ -73,10 +73,10 @@ TEST(Workload, ThreadsProduceDistinctStreams)
 TEST(Workload, RecordsCarryCorrectTid)
 {
     const auto p = tinyParams();
-    WorkloadThreadSource src(p, 3);
+    auto src = SyntheticWorkload(p).makeSource(3);
     TraceRecord r;
     for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(src.next(r));
+        ASSERT_TRUE(src->next(r));
         EXPECT_EQ(r.tid, 3);
     }
 }
@@ -84,9 +84,9 @@ TEST(Workload, RecordsCarryCorrectTid)
 TEST(Workload, AddressesAreLineAligned)
 {
     const auto p = tinyParams();
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
-    while (src.next(r))
+    while (src->next(r))
         EXPECT_EQ(r.addr % p.lineSize, 0u);
 }
 
@@ -98,12 +98,12 @@ TEST(Workload, PrivateRegionsDisjointAcrossThreads)
     p.streamFrac = 0.0;
     std::set<Addr> t0;
     std::set<Addr> t1;
-    WorkloadThreadSource a(p, 0);
-    WorkloadThreadSource b(p, 1);
+    auto a = SyntheticWorkload(p).makeSource(0);
+    auto b = SyntheticWorkload(p).makeSource(1);
     TraceRecord r;
-    while (a.next(r))
+    while (a->next(r))
         t0.insert(r.addr);
-    while (b.next(r))
+    while (b->next(r))
         t1.insert(r.addr);
     for (const Addr addr : t0)
         EXPECT_EQ(t1.count(addr), 0u);
@@ -117,12 +117,12 @@ TEST(Workload, SharedRegionOverlapsAcrossThreads)
     p.streamFrac = 0.0;
     std::set<Addr> t0;
     std::set<Addr> t1;
-    WorkloadThreadSource a(p, 0);
-    WorkloadThreadSource b(p, 1);
+    auto a = SyntheticWorkload(p).makeSource(0);
+    auto b = SyntheticWorkload(p).makeSource(1);
     TraceRecord r;
-    while (a.next(r))
+    while (a->next(r))
         t0.insert(r.addr);
-    while (b.next(r))
+    while (b->next(r))
         t1.insert(r.addr);
     int overlap = 0;
     for (const Addr addr : t0)
@@ -136,11 +136,11 @@ TEST(Workload, StoreFractionRoughlyHonored)
     p.recordsPerThread = 20000;
     p.storeFrac = 0.4;
     p.kernelFrac = 0.0; // kernel skews the op mix
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
     int stores = 0;
     int total = 0;
-    while (src.next(r)) {
+    while (src->next(r)) {
         stores += r.op == MemOp::Store;
         ++total;
     }
@@ -152,10 +152,10 @@ TEST(Workload, GapMeanRoughlyHonored)
     auto p = tinyParams();
     p.recordsPerThread = 50000;
     p.gapMean = 12.0;
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
     double sum = 0.0;
-    while (src.next(r))
+    while (src->next(r))
         sum += r.gap;
     EXPECT_NEAR(sum / p.recordsPerThread, 12.0, 2.0);
 }
@@ -166,9 +166,9 @@ TEST(Workload, ZeroFractionsMeanNoSuchRegion)
     p.sharedFrac = 0.0;
     p.kernelFrac = 0.0;
     p.streamFrac = 0.0;
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
-    while (src.next(r)) {
+    while (src->next(r)) {
         EXPECT_GE(r.addr, region::PrivateBase);
         EXPECT_LT(r.addr, region::StreamBase);
     }
@@ -241,12 +241,12 @@ TEST(Workload, PhaseShiftingRevisitsOldLines)
     p.phaseLength = 2000;
     p.phaseShift = 0.5;
     p.sharedFrac = p.kernelFrac = p.streamFrac = 0.0;
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
     std::map<Addr, std::uint64_t> last_seen;
     std::uint64_t i = 0;
     std::uint64_t long_reuses = 0;
-    while (src.next(r)) {
+    while (src->next(r)) {
         const auto it = last_seen.find(r.addr);
         if (it != last_seen.end() && i - it->second > 3000)
             ++long_reuses;
@@ -263,10 +263,10 @@ TEST(Workload, PhaseShiftingStaysWithinFootprint)
     p.phaseLength = 1000;
     p.phaseShift = 0.5;
     p.sharedFrac = p.kernelFrac = p.streamFrac = 0.0;
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     TraceRecord r;
     std::set<Addr> lines;
-    while (src.next(r))
+    while (src->next(r))
         lines.insert(r.addr);
     // Phase rotation must not grow the private footprint.
     EXPECT_LE(lines.size(), 128u);
@@ -282,15 +282,15 @@ TEST(Workload, PrivateGroupSharing)
     std::set<Addr> t3;
     std::set<Addr> t4;
     p.numThreads = 8;
-    WorkloadThreadSource a(p, 0);
-    WorkloadThreadSource b(p, 3);
-    WorkloadThreadSource c(p, 4);
+    auto a = SyntheticWorkload(p).makeSource(0);
+    auto b = SyntheticWorkload(p).makeSource(3);
+    auto c = SyntheticWorkload(p).makeSource(4);
     TraceRecord r;
-    while (a.next(r))
+    while (a->next(r))
         t0.insert(r.addr);
-    while (b.next(r))
+    while (b->next(r))
         t3.insert(r.addr);
-    while (c.next(r))
+    while (c->next(r))
         t4.insert(r.addr);
     int overlap03 = 0;
     for (const Addr addr : t0)

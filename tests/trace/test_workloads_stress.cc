@@ -30,10 +30,10 @@ TEST(Stress, StreamingNeverRepeatsWithinWindow)
 {
     auto p = streamingStress(5000, 1);
     p.numThreads = 1;
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     std::set<Addr> seen;
     TraceRecord r;
-    while (src.next(r))
+    while (src->next(r))
         EXPECT_TRUE(seen.insert(r.addr).second)
             << "streaming repeated " << std::hex << r.addr;
 }
@@ -42,10 +42,11 @@ TEST(Stress, PingpongStaysInSharedRegion)
 {
     auto p = pingpongStress(2000, 1, 64);
     p.numThreads = 4;
+    const SyntheticWorkload wl(p);
     for (unsigned t = 0; t < 4; ++t) {
-        WorkloadThreadSource src(p, static_cast<ThreadId>(t));
+        auto src = wl.makeSource(static_cast<ThreadId>(t));
         TraceRecord r;
-        while (src.next(r)) {
+        while (src->next(r)) {
             EXPECT_GE(r.addr, region::SharedBase);
             EXPECT_LT(r.addr, region::SharedBase + 64 * 128);
         }
@@ -56,10 +57,10 @@ TEST(Stress, UniformCoversFootprintEvenly)
 {
     auto p = uniformStress(20000, 1, 64);
     p.numThreads = 1;
-    WorkloadThreadSource src(p, 0);
+    auto src = SyntheticWorkload(p).makeSource(0);
     std::map<Addr, int> counts;
     TraceRecord r;
-    while (src.next(r))
+    while (src->next(r))
         ++counts[r.addr];
     EXPECT_EQ(counts.size(), 64u);
     for (const auto &[addr, n] : counts)
