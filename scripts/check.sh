@@ -8,7 +8,7 @@
 #                               # the scripts/paper.py smoke (every
 #                               # table and figure on tiny traces), then
 #                               # CLI smoke: unknown and removed options
-#                               # must be rejected
+#                               # and config keys must be rejected
 #   scripts/check.sh sanitize   # ASan+UBSan build, sanitize-labelled tests
 #   scripts/check.sh tsan       # TSan build, tsan-labelled (multi-threaded:
 #                               # sweep pool, streaming reader) tests plus
@@ -28,8 +28,7 @@
 #                               # CI artifact upload
 #   scripts/check.sh serve      # streaming smoke: a 1M-record trace
 #                               # through a FIFO with bounded memory
-#                               # and live ingest gauges, plus open-
-#                               # vs closed-loop arrival runs
+#                               # and live ingest gauges
 #   scripts/check.sh scale      # big-machine smoke: a 32-core sweep
 #                               # with invariant checking, a 64-core
 #                               # watchdogged run on every layout, and
@@ -246,8 +245,7 @@ if [ "$SELECT" = serve ]; then
     # End-to-end smoke of the streaming service (docs/serving.md):
     # a >= 1M-record open-ended binary trace pushed through a FIFO
     # must simulate with bounded memory and surface live ingest
-    # gauges in the sampled output, and open- vs closed-loop arrival
-    # runs over the same trace must both complete.
+    # gauges in the sampled output.
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     gen_trace() { # <path> <records> -- streaming-framed binary trace
@@ -284,17 +282,7 @@ PY
         grep -q "\"$gauge\"" "$smoke_dir/fifo.json" \
             || { echo "serve output sampled no $gauge gauge" >&2; exit 1; }
     done
-    # Open- vs closed-loop arrival over the same (smaller) stream.
-    run_phase serve-gen-small gen_trace "$smoke_dir/small.bin" 64000
-    for arrival in closed open:0.05; do
-        run_phase "serve-$arrival" \
-            ./build/src/cmpcache serve --trace="$smoke_dir/small.bin" \
-            --arrival="$arrival" --sample-every=5000 \
-            --out="$smoke_dir/$arrival.json" --quiet
-        grep -q '"timeSeries"' "$smoke_dir/$arrival.json" \
-            || { echo "serve ($arrival) emitted no timeSeries" >&2; exit 1; }
-    done
-    echo "serve: FIFO 1M-record stream + arrival-model smoke OK"
+    echo "serve: FIFO 1M-record stream smoke OK"
     exit 0
 fi
 
@@ -305,21 +293,27 @@ unit)
     ;;
 e2e)
     run_phase e2e-suite ctest --output-on-failure -j"$(nproc)" -L e2e
-    # Every subcommand rejects options it never reads: a typo must not
-    # run with defaults, and the removed --run-threads names its
-    # replacement.
-    for bad in --bogus-flag=3 --run-threads=4; do
-        status=0
-        err="$(./src/cmpcache sweep --refs=100 --workloads=thrash \
-            --policies=baseline "$bad" --quiet 2>&1 >/dev/null)" \
+    # Every subcommand rejects options and config keys it never reads:
+    # a typo must not run with defaults, a removed option or key fails
+    # by name, and the removed --run-threads names its replacement.
+    reject() { # <needle> <cmpcache args...>: must exit 1 naming <needle>
+        local needle="$1" status=0 err
+        shift
+        err="$(./src/cmpcache "$@" --quiet 2>&1 >/dev/null)" \
             || status=$?
-        if [ "$status" -ne 1 ]; then
-            echo "cli: sweep $bad exited $status (want 1)" >&2
+        if [ "$status" -ne 1 ] || ! grep -qF -- "$needle" <<<"$err"; then
+            echo "cli: cmpcache $* exited $status (want 1 naming" \
+                "$needle): $err" >&2
             exit 1
         fi
-    done
-    grep -q 'sweep --threads=N' <<<"$err" \
-        || { echo "cli: --run-threads error lacks the hint" >&2; exit 1; }
+    }
+    sweep=(sweep --refs=100 --workloads=thrash --policies=baseline)
+    reject --bogus-flag "${sweep[@]}" --bogus-flag=3
+    reject 'sweep --threads=N' "${sweep[@]}" --run-threads=4
+    reject "unknown config key 'arrival.model'" \
+        "${sweep[@]}" arrival.model=open
+    reject 'unknown option --arrival' \
+        serve --workload=thrash --refs=100 --arrival=open:0.02
     echo "e2e: suite + CLI option smoke OK"
     ;;
 faults)

@@ -8,8 +8,7 @@
  *           thread pool and emit deterministic JSON results plus an
  *           optional timing (bench) file
  *   serve   simulate a trace streamed from a file, FIFO or stdin
- *           (or a synthetic generator) online with bounded memory,
- *           under an open- or closed-loop arrival model
+ *           (or a synthetic generator) online with bounded memory
  *   chaos   seeded coherence fuzzing: adversarial sharing workloads x
  *           fault plans x topologies under the conformance oracle,
  *           with automatic reproducer minimization on failure
@@ -31,7 +30,7 @@
  *   mkfifo /tmp/t.fifo
  *   generator > /tmp/t.fifo &
  *   cmpcache serve --trace=/tmp/t.fifo --sample-every=5000 \
- *       --arrival=open:0.02 --out=result.json
+ *       --out=result.json
  *
  *   # a quick stress grid with invariant checking and a bench file
  *   cmpcache sweep --workloads=thrash,pingpong \
@@ -120,10 +119,6 @@ usage()
         "                        incrementally, never materialized\n"
         "  --workload=NAME       synthetic generator instead of a\n"
         "                        stream (--refs/--seed as for sweep)\n"
-        "  --arrival=SPEC        closed (default) or open:<rate>;\n"
-        "                        rate = mean arrivals/tick/thread,\n"
-        "                        e.g. open:0.02 (arrival.* keys tune\n"
-        "                        bursts and the sampler seed)\n"
         "  --sample-every=N      sample obs probes plus live ingest\n"
         "                        gauges (queue depth, ingest rate,\n"
         "                        drops) every N cycles\n"
@@ -494,17 +489,6 @@ serveMain(const CliArgs &args)
     // obs.ingest=false override below still disables them).
     cfg.obs.ingestGauges = true;
     const WorkloadOverrides wl_overrides = applyConfigArgs(args, cfg);
-
-    if (args.has("arrival")) {
-        const auto spec =
-            parseArrivalSpec(args.getString("arrival", ""));
-        if (!spec.ok())
-            cmp_fatal(spec.error().message);
-        // The spec sets model and rate; burst shape and the sampler
-        // seed stay whatever arrival.* keys configured.
-        cfg.arrival.model = spec->model;
-        cfg.arrival.rate = spec->rate;
-    }
     applySampleEvery(args, cfg);
 
     const std::string trace = args.getString("trace", "");
@@ -547,15 +531,13 @@ serveMain(const CliArgs &args)
                    cfg.stream.overflow == OverflowPolicy::Block
                        ? "block"
                        : "drop",
-                   " on overflow, arrival ",
-                   toString(cfg.arrival.model), ")");
+                   " on overflow)");
         sim = std::make_unique<Simulation>(cfg, std::move(in),
                                            std::move(name));
     } else {
         if (!quiet)
             inform("serve: synthetic ", workload, " generator, ",
-                   params->recordsPerThread, " records/thread, "
-                   "arrival ", toString(cfg.arrival.model));
+                   params->recordsPerThread, " records/thread");
         sim = std::make_unique<Simulation>(cfg, *params);
     }
 

@@ -50,23 +50,6 @@ toU64(const std::string &key, const std::string &v)
                             "'"));
 }
 
-Expected<double>
-toDouble(const std::string &key, const std::string &v)
-{
-    double d = 0.0;
-    std::size_t used = 0;
-    try {
-        d = std::stod(v, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (v.empty() || used != v.size()) {
-        return configError(cstr("config key '", key,
-                                "' expects a number, got '", v, "'"));
-    }
-    return d;
-}
-
 Expected<bool>
 toBool(const std::string &key, const std::string &v)
 {
@@ -114,20 +97,6 @@ struct KeyHandler
             [](const SystemConfig &c) {                                 \
                 return std::string(c.field ? "true" : "false");         \
             }                                                           \
-    }
-
-#define DBL_KEY(field)                                                  \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            const auto r = toDouble(k, v);                              \
-            if (!r)                                                     \
-                return r.error();                                       \
-            c.field = *r;                                               \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &c) { return cstr(c.field); }         \
     }
 
 #define STR_KEY(field)                                                  \
@@ -222,29 +191,8 @@ handlers()
         {"obs.trace", BOOL_KEY(obs.traceEnabled)},
         {"obs.trace_capacity", U64_KEY(obs.traceCapacity)},
         {"obs.ingest", BOOL_KEY(obs.ingestGauges)},
-        {"arrival.rate", DBL_KEY(arrival.rate)},
-        {"arrival.burst_factor", DBL_KEY(arrival.burstFactor)},
-        {"arrival.burst_period", U64_KEY(arrival.burstPeriod)},
-        {"arrival.seed", U64_KEY(arrival.seed)},
         {"stream.queue_capacity", U64_KEY(stream.queueCapacity)},
         {"stream.demux_capacity", U64_KEY(stream.demuxCapacity)},
-        {"arrival.model",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
-                       const std::string &v) -> Expected<void> {
-                        if (v == "closed")
-                            c.arrival.model = ArrivalModel::Closed;
-                        else if (v == "open")
-                            c.arrival.model = ArrivalModel::Open;
-                        else
-                            return configError(cstr(
-                                "config key '", k,
-                                "' expects closed|open, got '", v,
-                                "'"));
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        return std::string(toString(c.arrival.model));
-                    }}},
         {"stream.overflow",
          KeyHandler{[](SystemConfig &c, const std::string &k,
                        const std::string &v) -> Expected<void> {
@@ -352,7 +300,6 @@ handlers()
 
 #undef U64_KEY
 #undef BOOL_KEY
-#undef DBL_KEY
 #undef STR_KEY
 #undef TOPO_U32
 

@@ -9,9 +9,8 @@
  *    (tests/sim/test_event_queue_differential.cc) can pit the
  *    production bucketed kernel against an independent, obviously
  *    correct ordering oracle, and
- *  - bench/kernel_throughput.cpp can measure the production kernel
- *    against the committed baseline it replaced (the "reference-heap"
- *    rows of bench/BENCH_kernel.json).
+ *  - bench/scale.cpp can time a same-run reference-kernel loop, the
+ *    host-independent denominator of bench_scale_guard.
  *
  * The ordering contract is identical to the production kernel: events
  * execute in (tick, priority, insertion-sequence) order. See

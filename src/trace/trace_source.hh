@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming trace ingestion: bounded-buffer sources, arrival models,
- * and the reader-thread pipeline behind `cmpcache serve`.
+ * Streaming trace ingestion: bounded-buffer sources and the
+ * reader-thread pipeline behind `cmpcache serve`.
  *
  * The batch path materializes a whole trace and splits it per thread
  * (splitByThread). The streaming path keeps memory bounded instead:
@@ -10,16 +10,6 @@
  * stream into per-thread TraceSources on the consumer side, buffering
  * at most a configured skew window. See docs/serving.md for the wire
  * format, the backpressure contract and the bounded-memory guarantee.
- *
- * Arrival models (docs/serving.md):
- *  - closed-loop: a record's gap is think time relative to the
- *    previous *completion* on that thread (the classic batch-replay
- *    behavior; stalls push all later work back).
- *  - open-loop: gaps are interarrival times on an absolute clock
- *    stamped by the generator; a stalled CPU falls behind and then
- *    catches up in a burst, like a server draining a request queue.
- *    ArrivalStamper re-stamps any source with Poisson (geometric in
- *    whole ticks) interarrivals, optionally burst-modulated.
  */
 
 #ifndef CMPCACHE_TRACE_TRACE_SOURCE_HH
@@ -37,69 +27,10 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/random.hh"
 #include "trace/trace.hh"
 
 namespace cmpcache
 {
-
-/** How record gaps are interpreted by the issuing CPU. */
-enum class ArrivalModel : std::uint8_t
-{
-    Closed, ///< gap = think time after the previous issue (default)
-    Open,   ///< gap = interarrival time on an absolute clock
-};
-
-const char *toString(ArrivalModel m);
-
-/** Arrival-model selection plus open-loop generator parameters. */
-struct ArrivalConfig
-{
-    ArrivalModel model = ArrivalModel::Closed;
-    /**
-     * Open loop: mean arrivals per tick per thread (> 0). The mean
-     * interarrival gap is 1/rate ticks, sampled geometrically.
-     */
-    double rate = 0.0;
-    /**
-     * Burst modulation: when burstPeriod > 0, the first half of every
-     * burstPeriod-tick window runs burstFactor times faster than the
-     * configured rate (the second half runs at the plain rate).
-     */
-    double burstFactor = 1.0;
-    std::uint64_t burstPeriod = 0;
-    /** Seed for the per-thread interarrival samplers. */
-    std::uint64_t seed = 1;
-};
-
-/**
- * Parse a CLI arrival spec: "closed" or "open:<rate>".
- * SimError (Config) names the offending spec on failure.
- */
-Expected<ArrivalConfig> parseArrivalSpec(const std::string &spec);
-
-/**
- * Decorator that re-stamps a source's gaps with sampled open-loop
- * interarrival times. Deterministic: the sample sequence depends only
- * on (seed, tid). Used when the trace's own gaps encode closed-loop
- * think time but the run wants generator-driven open-loop load.
- */
-class ArrivalStamper : public TraceSource
-{
-  public:
-    ArrivalStamper(std::unique_ptr<TraceSource> inner,
-                   const ArrivalConfig &cfg, ThreadId tid);
-
-    bool next(TraceRecord &rec) override;
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    ArrivalConfig cfg_;
-    Rng rng_;
-    double meanGap_;
-    /** Cumulative stamped arrival time, drives burst phasing. */
-    std::uint64_t clock_ = 0;
-};
 
 /** What a producer does when the ingest queue is full. */
 enum class OverflowPolicy : std::uint8_t

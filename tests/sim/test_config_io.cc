@@ -196,6 +196,25 @@ TEST(ConfigIo, RemovedShapeAliasesAreUnknownKeys)
     }
 }
 
+TEST(ConfigIo, RemovedConfigKeysAreUnknown)
+{
+    // The open-loop arrival keys are gone; each is a named error and
+    // none is written by saveConfig.
+    const auto &keys = configKeys();
+    for (const char *key :
+         {"arrival.model", "arrival.rate", "arrival.burst_factor",
+          "arrival.burst_period", "arrival.seed"}) {
+        SystemConfig cfg;
+        const auto r = applyConfigOption(cfg, key, "2");
+        ASSERT_FALSE(r.ok()) << key;
+        EXPECT_NE(r.error().message.find(
+                      std::string("unknown config key '") + key + "'"),
+                  std::string::npos)
+            << r.error().message;
+        EXPECT_EQ(std::count(keys.begin(), keys.end(), key), 0) << key;
+    }
+}
+
 TEST(ConfigIo, KeyListNonEmptyAndSorted)
 {
     const auto &keys = configKeys();

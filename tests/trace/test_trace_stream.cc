@@ -2,8 +2,8 @@
  * @file
  * Streaming-ingestion tests: the incremental TraceStreamParser on
  * non-seekable streams (the silent-empty-trace regression), the
- * bounded queue's backpressure and drop accounting, the per-thread
- * demux, and the open-loop arrival stamper.
+ * bounded queue's backpressure and drop accounting, and the
+ * per-thread demux.
  */
 
 #include <gtest/gtest.h>
@@ -178,66 +178,6 @@ TEST(TraceStream, ParserErrorIsSticky)
     EXPECT_TRUE(p.failed());
     EXPECT_NE(p.error().message.find("line 2"), std::string::npos);
     EXPECT_EQ(p.next(r), TraceStreamParser::Status::Error);
-}
-
-// ---------------------------------------------------------------------
-// Arrival model parsing and stamping
-
-TEST(ArrivalSpec, ParsesClosedAndOpen)
-{
-    const auto closed = parseArrivalSpec("closed");
-    ASSERT_TRUE(closed.ok());
-    EXPECT_EQ(closed->model, ArrivalModel::Closed);
-
-    const auto open = parseArrivalSpec("open:0.05");
-    ASSERT_TRUE(open.ok()) << open.error().message;
-    EXPECT_EQ(open->model, ArrivalModel::Open);
-    EXPECT_DOUBLE_EQ(open->rate, 0.05);
-}
-
-TEST(ArrivalSpec, RejectsBadSpecs)
-{
-    for (const char *bad :
-         {"", "open", "open:", "open:0", "open:-1", "open:zz",
-          "poisson:3", "closed:1"}) {
-        const auto r = parseArrivalSpec(bad);
-        EXPECT_FALSE(r.ok()) << "accepted '" << bad << "'";
-        if (!r.ok())
-            EXPECT_EQ(r.error().kind, SimErrorKind::Config) << bad;
-    }
-}
-
-TEST(ArrivalStamperTest, DeterministicPerSeedAndThread)
-{
-    const auto run = [](std::uint64_t seed, ThreadId tid) {
-        std::vector<TraceRecord> recs(64, {0x40, 7, tid, MemOp::Load});
-        ArrivalConfig cfg;
-        cfg.model = ArrivalModel::Open;
-        cfg.rate = 0.1;
-        cfg.seed = seed;
-        ArrivalStamper s(std::make_unique<VectorSource>(recs), cfg,
-                         tid);
-        std::vector<std::uint32_t> gaps;
-        TraceRecord r;
-        while (s.next(r))
-            gaps.push_back(r.gap);
-        return gaps;
-    };
-    const auto a = run(1, 0);
-    EXPECT_EQ(a.size(), 64u);
-    EXPECT_EQ(a, run(1, 0)) << "same seed+tid must restamp "
-                               "identically";
-    EXPECT_NE(a, run(1, 1)) << "threads must sample independent "
-                               "interarrival streams";
-    EXPECT_NE(a, run(2, 0));
-
-    // The stamped gaps should average near 1/rate = 10 ticks.
-    double sum = 0;
-    for (const auto g : a)
-        sum += g;
-    const double mean = sum / double(a.size());
-    EXPECT_GT(mean, 2.0);
-    EXPECT_LT(mean, 40.0);
 }
 
 // ---------------------------------------------------------------------
